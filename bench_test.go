@@ -15,9 +15,11 @@ import (
 	"aitax"
 	"aitax/internal/app"
 	"aitax/internal/bench"
+	"aitax/internal/capture"
 	"aitax/internal/imaging"
 	"aitax/internal/postproc"
 	"aitax/internal/preproc"
+	"aitax/internal/sim"
 	"aitax/internal/soc"
 	"aitax/internal/telemetry"
 	"aitax/internal/tensor"
@@ -243,6 +245,20 @@ func BenchmarkAppPipeline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		a.ProcessFrame(nil)
 		rt.Eng.Run()
+	}
+}
+
+// BenchmarkNewCamera opens a default-size preview camera on a warm
+// shared frame pool: the per-camera harness cost every app construction
+// pays before its first frame. A cold pool would add the painting of
+// the four preview frames.
+func BenchmarkNewCamera(b *testing.B) {
+	eng, rng := sim.NewEngine(), sim.NewRNG(1)
+	capture.NewCamera(eng, rng, capture.DefaultPreviewW, capture.DefaultPreviewH) // warm
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		capture.NewCamera(eng, rng, capture.DefaultPreviewW, capture.DefaultPreviewH)
 	}
 }
 

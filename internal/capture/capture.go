@@ -8,6 +8,7 @@
 package capture
 
 import (
+	"sync"
 	"time"
 
 	"aitax/internal/imaging"
@@ -17,6 +18,10 @@ import (
 
 // Frame is one delivered camera frame.
 type Frame struct {
+	// Image is read-only. In pool mode (Synthesize false) it is one of
+	// the process-wide preview frames every camera of the same size
+	// shares, possibly with cameras on other goroutines; a consumer that
+	// needs to modify pixels must copy them first.
 	Image       *imaging.YUVImage
 	Seq         int
 	DeliveredAt sim.Time
@@ -42,8 +47,9 @@ type Camera struct {
 	JitterCV float64
 
 	// Synthesize controls whether each frame gets fresh procedural
-	// content (true) or cycles a small pregenerated pool (false, the
-	// fast default for long experiments).
+	// content painted into a camera-owned scratch ring (true) or cycles
+	// the shared read-only preview frames (false, the fast default for
+	// long experiments).
 	Synthesize bool
 
 	pool    []*imaging.YUVImage
@@ -58,6 +64,8 @@ const (
 )
 
 // NewCamera opens a camera session at the given preview resolution.
+// In pool mode its frames are the shared read-only preview frames for
+// that resolution (see previewFrames): no consumer may write to them.
 func NewCamera(eng *sim.Engine, rng *sim.RNG, width, height int) *Camera {
 	c := &Camera{
 		eng: eng, rng: rng,
@@ -66,12 +74,46 @@ func NewCamera(eng *sim.Engine, rng *sim.RNG, width, height int) *Camera {
 		Readout:  3 * time.Millisecond,
 		JitterCV: 0.18,
 	}
-	// Pregenerate a pool of distinct frames so long runs do not spend
-	// host time on procedural content.
-	for i := 0; i < 4; i++ {
-		c.pool = append(c.pool, imaging.SyntheticFrame(c.Width, c.Height, uint64(1000+i)))
-	}
+	c.pool = previewFrames(c.Width, c.Height)
 	return c
+}
+
+// previewPoolSize is the number of distinct pregenerated preview frames
+// (seeds 1000, 1001, ...) a pool-mode camera cycles.
+const previewPoolSize = 4
+
+// previewPools maps a preview size to a sync.Pool holding that size's
+// frames. Every camera keeps its own reference to the frames, so the
+// sync.Pool is only a cache between camera constructions: the GC
+// empties it two cycles after its last Get, and the frames are
+// reclaimed once no camera holds them. Frames kept alive for good
+// would instead pin ~1 MB per 480×360 size for the life of the process.
+var (
+	previewPoolsMu sync.Mutex
+	previewPools   = map[[2]int]*sync.Pool{}
+)
+
+// previewFrames returns the shared read-only preview frames for a
+// width×height camera, painting them on a pool miss. The frames carry
+// the same pixels whichever camera first painted them.
+func previewFrames(width, height int) []*imaging.YUVImage {
+	key := [2]int{width, height}
+	previewPoolsMu.Lock()
+	p := previewPools[key]
+	if p == nil {
+		p = new(sync.Pool)
+		previewPools[key] = p
+	}
+	previewPoolsMu.Unlock()
+	frames, _ := p.Get().(*[previewPoolSize]*imaging.YUVImage)
+	if frames == nil {
+		frames = new([previewPoolSize]*imaging.YUVImage)
+		for i := range frames {
+			frames[i] = imaging.SyntheticFrame(width, height, uint64(1000+i))
+		}
+	}
+	p.Put(frames)
+	return frames[:]
 }
 
 // FrameBytes returns the NV21 frame size.

@@ -1,9 +1,12 @@
 package capture
 
 import (
+	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
+	"aitax/internal/imaging"
 	"aitax/internal/sim"
 )
 
@@ -130,6 +133,104 @@ func TestPoolModeCyclesDistinctFrames(t *testing.T) {
 	if len(imgs) != 8 {
 		t.Fatalf("frames = %d", len(imgs))
 	}
+}
+
+// sameFrame reports whether two NV21 frames hold identical pixels.
+func sameFrame(a, b *imaging.YUVImage) bool {
+	return a.Width == b.Width && a.Height == b.Height &&
+		bytes.Equal(a.Y, b.Y) && bytes.Equal(a.VU, b.VU)
+}
+
+// Pool-mode frames are the same pixels every camera used to paint for
+// itself: seeds 1000.. at the (even-floored) preview size.
+func TestPoolFramesMatchFreshSynthesis(t *testing.T) {
+	eng := sim.NewEngine()
+	for _, sz := range [][2]int{{DefaultPreviewW, DefaultPreviewH}, {320, 240}, {161, 121}} {
+		cam := NewCamera(eng, sim.NewRNG(1), sz[0], sz[1])
+		if len(cam.pool) != previewPoolSize {
+			t.Fatalf("%v: pool holds %d frames", sz, len(cam.pool))
+		}
+		for i, img := range cam.pool {
+			if want := imaging.SyntheticFrame(cam.Width, cam.Height, uint64(1000+i)); !sameFrame(img, want) {
+				t.Fatalf("%v: pooled frame %d differs from a fresh SyntheticFrame", sz, i)
+			}
+		}
+	}
+}
+
+// The shared frames must not outlive their cameras: once no camera
+// holds them, two GC cycles empty the sync.Pool and the frames become
+// garbage. A pool pinned for the life of the process would keep ~1 MB
+// per 480×360 size alive (the fleet workload's heap peak guards this).
+func TestPreviewFramesReclaimedAfterLastCamera(t *testing.T) {
+	freed := make(chan struct{}, 8)
+	holders := func() int {
+		const w, h = 94, 70 // a size no other test opens
+		eng := sim.NewEngine()
+		seen := map[*[previewPoolSize]*imaging.YUVImage]bool{}
+		for i := 0; i < 3; i++ {
+			cam := NewCamera(eng, sim.NewRNG(uint64(i)), w, h)
+			seen[(*[previewPoolSize]*imaging.YUVImage)(cam.pool)] = true
+		}
+		for holder := range seen {
+			runtime.SetFinalizer(holder, func(*[previewPoolSize]*imaging.YUVImage) { freed <- struct{}{} })
+		}
+		return len(seen)
+	}()
+	runtime.GC()
+	runtime.GC()
+	for i := 0; i < holders; i++ {
+		select {
+		case <-freed:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d preview pools still held after the last camera and two GCs", holders-i, holders)
+		}
+	}
+}
+
+// A Synthesize camera paints only into its own scratch ring: many
+// synthesized captures leave the shared frames of the same size, as a
+// pool-mode camera sees them, untouched.
+func TestSynthesizeLeavesSharedFramesUnchanged(t *testing.T) {
+	eng := sim.NewEngine()
+	pooled := NewCamera(eng, sim.NewRNG(1), DefaultPreviewW, DefaultPreviewH)
+	synth := NewCamera(eng, sim.NewRNG(2), DefaultPreviewW, DefaultPreviewH)
+	synth.Synthesize = true
+	shared := map[*imaging.YUVImage]bool{}
+	for _, cam := range []*Camera{pooled, synth} {
+		for _, img := range cam.pool {
+			shared[img] = true
+		}
+	}
+	const n = 40
+	delivered := 0
+	for i := 0; i < n; i++ {
+		synth.Capture(func(f *Frame) {
+			delivered++
+			if shared[f.Image] {
+				t.Errorf("synthesized frame %d delivered a shared pool frame", f.Seq)
+			}
+		})
+	}
+	eng.Run()
+	if delivered != n {
+		t.Fatalf("delivered %d of %d synthesized frames", delivered, n)
+	}
+	for _, cam := range []*Camera{pooled, synth} {
+		for i, img := range cam.pool {
+			if want := imaging.SyntheticFrame(DefaultPreviewW, DefaultPreviewH, uint64(1000+i)); !sameFrame(img, want) {
+				t.Fatalf("shared frame (seed %d) changed after %d synthesized captures", 1000+i, n)
+			}
+		}
+	}
+	for i := 0; i < previewPoolSize; i++ {
+		pooled.Capture(func(f *Frame) {
+			if f.Image != pooled.pool[f.Seq%previewPoolSize] {
+				t.Errorf("pool-mode capture %d did not deliver its shared frame", f.Seq)
+			}
+		})
+	}
+	eng.Run()
 }
 
 func TestOddResolutionFloored(t *testing.T) {
