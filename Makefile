@@ -34,7 +34,7 @@ bench:
 # Packages covered by the CI benchmark gates (the root package carries
 # the pixel kernels and the cold-path benchmarks — ColdStart, DriverFix,
 # DVFSRamp — that the arena work is locked in by).
-BENCH_PKGS = . ./internal/benchfmt/ ./internal/par/ ./internal/obs/ ./internal/qos/ ./internal/telemetry/ ./internal/plan/ ./internal/fleet/
+BENCH_PKGS = . ./internal/benchfmt/ ./internal/par/ ./internal/stats/ ./internal/obs/ ./internal/qos/ ./internal/telemetry/ ./internal/plan/ ./internal/fleet/
 BENCH_BASELINE ?= BENCH_2026-08-08_fleet.json
 
 # Quick allocation/regression smoke: one iteration per benchmark, parsed

@@ -23,95 +23,95 @@ import (
 
 	"aitax"
 	"aitax/internal/benchfmt"
+	"aitax/internal/cli"
 	"aitax/internal/stats"
 )
 
-func parseDType(s string) (aitax.DType, error) {
-	switch s {
-	case "fp32", "float32":
-		return aitax.Float32, nil
-	case "int8", "uint8", "quant":
-		return aitax.UInt8, nil
-	default:
-		return aitax.Float32, fmt.Errorf("unknown dtype %q (fp32|int8)", s)
-	}
-}
-
-func parseDelegate(s string) (aitax.Delegate, error) {
-	switch s {
-	case "cpu":
-		return aitax.DelegateCPU, nil
-	case "gpu":
-		return aitax.DelegateGPU, nil
-	case "hexagon", "dsp":
-		return aitax.DelegateHexagon, nil
-	case "nnapi":
-		return aitax.DelegateNNAPI, nil
-	default:
-		return aitax.DelegateCPU, fmt.Errorf("unknown delegate %q (cpu|gpu|hexagon|nnapi)", s)
-	}
-}
-
 func main() {
-	model := flag.String("model", "MobileNet 1.0 v1", "Table-I model name")
-	dtype := flag.String("dtype", "fp32", "precision: fp32 | int8")
-	delegate := flag.String("delegate", "cpu", "delegate: cpu | gpu | hexagon | nnapi")
-	runs := flag.Int("runs", 100, "measured iterations (paper: 500)")
-	platform := flag.String("platform", "Google Pixel 3", "platform (Table II)")
-	seed := flag.Uint64("seed", 42, "random seed (0 is a valid seed)")
-	list := flag.Bool("list", false, "list model names and exit")
-	stdlib := flag.String("stdlib", "libc++", "C++ standard library: libc++ | libstdc++ (flips random-gen cost, §IV-A)")
-	parse := flag.String("parse", "", "parse `go test -bench` output from this file (\"-\" for stdin) into a JSON report")
-	out := flag.String("out", "", "with -parse: write the JSON report here (default stdout)")
-	date := flag.String("date", "", "with -parse: report date (default today, YYYY-MM-DD)")
-	compare := flag.Bool("compare", false, "compare two JSON reports (old.json new.json); exit 1 on regression")
-	threshold := flag.Float64("threshold", 0.10, "with -compare: allowed fractional growth in ns/op or allocs/op")
-	allocsOnly := flag.Bool("allocs-only", false, "with -compare: gate only zero-alloc benchmarks (baseline 0 allocs/op must stay 0; for 1-iteration smoke runs)")
-	wall := flag.Bool("wall", false, "with -compare: wall-time gate for multi-iteration runs (skip 1-iteration entries, apply -ns-floor; allocs gated too)")
-	nsFloor := flag.Float64("ns-floor", 5000, "with -compare -wall: ignore ns/op regressions on benchmarks faster than this (noise floor, ns/op)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the testable entry point: flags in, report out, exit code back.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("aitax-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	model := fs.String("model", "MobileNet 1.0 v1", "Table-I model name")
+	dtype := fs.String("dtype", "fp32", "precision: fp32 | int8")
+	delegate := fs.String("delegate", "cpu", "delegate: cpu | gpu | hexagon | nnapi")
+	runs := fs.Int("runs", 100, "measured iterations (paper: 500)")
+	platform := fs.String("platform", "Google Pixel 3", "platform (Table II)")
+	seed := fs.Uint64("seed", 42, "random seed (0 is a valid seed)")
+	list := fs.Bool("list", false, "list model names and exit")
+	stdlib := fs.String("stdlib", "libc++", "C++ standard library: libc++ | libstdc++ (flips random-gen cost, §IV-A)")
+	parse := fs.String("parse", "", "parse `go test -bench` output from this file (\"-\" for stdin) into a JSON report")
+	out := fs.String("out", "", "with -parse: write the JSON report here (default stdout)")
+	date := fs.String("date", "", "with -parse: report date (default today, YYYY-MM-DD)")
+	compare := fs.Bool("compare", false, "compare two JSON reports (old.json new.json); exit 1 on regression")
+	threshold := fs.Float64("threshold", 0.10, "with -compare: allowed fractional growth in ns/op or allocs/op")
+	allocsOnly := fs.Bool("allocs-only", false, "with -compare: gate only zero-alloc benchmarks (baseline 0 allocs/op must stay 0; for 1-iteration smoke runs)")
+	wall := fs.Bool("wall", false, "with -compare: wall-time gate for multi-iteration runs (skip 1-iteration entries, apply -ns-floor; allocs gated too)")
+	nsFloor := fs.Float64("ns-floor", 5000, "with -compare -wall: ignore ns/op regressions on benchmarks faster than this (noise floor, ns/op)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
 
 	if *list {
 		for _, n := range aitax.ModelNames() {
-			fmt.Println(n)
+			fmt.Fprintln(stdout, n)
 		}
-		return
+		return 0
 	}
 	if *parse != "" {
-		check(runParse(*parse, *out, *date))
-		return
+		if err := runParse(*parse, *out, *date, stdout); err != nil {
+			return fail(err)
+		}
+		return 0
 	}
 	if *compare {
-		if flag.NArg() != 2 {
-			check(fmt.Errorf("-compare needs exactly two arguments: old.json new.json"))
+		if fs.NArg() != 2 {
+			return fail(fmt.Errorf("-compare needs exactly two arguments: old.json new.json"))
 		}
 		if *allocsOnly && *wall {
-			check(fmt.Errorf("-allocs-only and -wall are mutually exclusive compare modes"))
+			return fail(fmt.Errorf("-allocs-only and -wall are mutually exclusive compare modes"))
 		}
-		ok, err := runCompare(flag.Arg(0), flag.Arg(1), *threshold, *allocsOnly, *wall, *nsFloor)
-		check(err)
+		ok, err := runCompare(fs.Arg(0), fs.Arg(1), *threshold, *allocsOnly, *wall, *nsFloor, stdout)
+		if err != nil {
+			return fail(err)
+		}
 		if !ok {
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 
-	dt, err := parseDType(*dtype)
-	check(err)
-	d, err := parseDelegate(*delegate)
-	check(err)
+	dt, err := cli.ParseDType(*dtype)
+	if err != nil {
+		return fail(err)
+	}
+	d, err := cli.ParseDelegate(*delegate)
+	if err != nil {
+		return fail(err)
+	}
+	lib, err := parseStdLib(*stdlib)
+	if err != nil {
+		return fail(err)
+	}
 	p, err := aitax.PlatformByName(*platform)
-	check(err)
-
-	lib := aitax.LibCXX
-	if *stdlib == "libstdc++" {
-		lib = aitax.LibStdCXX
+	if err != nil {
+		return fail(err)
 	}
+
 	samples, err := aitax.MeasureBenchmark(aitax.AppOptions{
 		Model: *model, DType: dt, Delegate: d,
 		Frames: *runs, Platform: p, Seed: *seed, SeedSet: true, StdLib: lib,
 	})
-	check(err)
+	if err != nil {
+		return fail(err)
+	}
 
 	var cap, pre, inf, total time.Duration
 	dist := stats.NewSample()
@@ -123,19 +123,33 @@ func main() {
 		dist.Add(float64(s.Total) / float64(time.Millisecond))
 	}
 	n := time.Duration(len(samples))
-	fmt.Printf("model=%q dtype=%s delegate=%s platform=%q runs=%d\n",
+	fmt.Fprintf(stdout, "model=%q dtype=%s delegate=%s platform=%q runs=%d\n",
 		*model, dt, d, p.Name, len(samples))
-	fmt.Printf("  input generation : %8.3f ms\n", ms(cap/n))
-	fmt.Printf("  pre-processing   : %8.3f ms\n", ms(pre/n))
-	fmt.Printf("  inference        : %8.3f ms\n", ms(inf/n))
-	fmt.Printf("  total            : %8.3f ms\n", ms(total/n))
-	fmt.Printf("  distribution     : %s\n", dist.Summarize())
+	fmt.Fprintf(stdout, "  input generation : %8.3f ms\n", ms(cap/n))
+	fmt.Fprintf(stdout, "  pre-processing   : %8.3f ms\n", ms(pre/n))
+	fmt.Fprintf(stdout, "  inference        : %8.3f ms\n", ms(inf/n))
+	fmt.Fprintf(stdout, "  total            : %8.3f ms\n", ms(total/n))
+	fmt.Fprintf(stdout, "  distribution     : %s\n", dist.Summarize())
+	return 0
+}
+
+// parseStdLib resolves -stdlib. Only the two library names are
+// accepted, so a misspelling cannot quietly measure the other library.
+func parseStdLib(s string) (aitax.StdLib, error) {
+	switch s {
+	case "libc++":
+		return aitax.LibCXX, nil
+	case "libstdc++":
+		return aitax.LibStdCXX, nil
+	default:
+		return aitax.LibCXX, fmt.Errorf("unknown stdlib %q (libc++|libstdc++)", s)
+	}
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // runParse converts `go test -bench` text output into a JSON report.
-func runParse(in, out, date string) error {
+func runParse(in, out, date string, stdout io.Writer) error {
 	var src io.Reader = os.Stdin
 	if in != "-" {
 		f, err := os.Open(in)
@@ -156,16 +170,10 @@ func runParse(in, out, date string) error {
 		date = time.Now().Format("2006-01-02")
 	}
 	rep.Date = date
-	dst := os.Stdout
-	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		dst = f
+	if out == "" {
+		return rep.Write(stdout)
 	}
-	return rep.Write(dst)
+	return cli.WriteFile(out, rep.Write)
 }
 
 // runCompare gates a new report against an old one; ok=false means at
@@ -176,7 +184,7 @@ func runParse(in, out, date string) error {
 // multi-iteration wall-time gate runs instead: 1-iteration entries are
 // skipped, ns/op below nsFloor is reported but not judged, and allocs
 // growth is gated everywhere (exact at steady state).
-func runCompare(oldPath, newPath string, threshold float64, allocsOnly, wall bool, nsFloor float64) (bool, error) {
+func runCompare(oldPath, newPath string, threshold float64, allocsOnly, wall bool, nsFloor float64, stdout io.Writer) (bool, error) {
 	readReport := func(p string) (*benchfmt.Report, error) {
 		f, err := os.Open(p)
 		if err != nil {
@@ -205,20 +213,13 @@ func runCompare(oldPath, newPath string, threshold float64, allocsOnly, wall boo
 	default:
 		c = benchfmt.Compare(oldRep, newRep, threshold)
 	}
-	fmt.Printf("comparing %s (%s) -> %s (%s), threshold %.0f%%%s\n",
+	fmt.Fprintf(stdout, "comparing %s (%s) -> %s (%s), threshold %.0f%%%s\n",
 		oldPath, oldRep.Date, newPath, newRep.Date, threshold*100, mode)
-	c.Render(os.Stdout)
+	c.Render(stdout)
 	if regs := c.Regressions(); len(regs) > 0 {
-		fmt.Printf("FAIL: %d benchmark(s) regressed beyond %.0f%%\n", len(regs), threshold*100)
+		fmt.Fprintf(stdout, "FAIL: %d benchmark(s) regressed beyond %.0f%%\n", len(regs), threshold*100)
 		return false, nil
 	}
-	fmt.Println("OK: no regressions beyond threshold")
+	fmt.Fprintln(stdout, "OK: no regressions beyond threshold")
 	return true, nil
-}
-
-func check(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
 }

@@ -20,6 +20,7 @@ import (
 	"os"
 
 	"aitax"
+	"aitax/internal/cli"
 	"aitax/internal/telemetry"
 )
 
@@ -47,17 +48,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	dt, err := parseDType(*dtype)
+	dt, err := cli.ParseDType(*dtype)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	d, err := parseDelegate(*delegate)
+	d, err := cli.ParseDelegate(*delegate)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	bgd, err := parseDelegate(*bgDelegate)
+	bgd, err := cli.ParseDelegate(*bgDelegate)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
@@ -95,7 +96,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if out.path == "" {
 			continue
 		}
-		if err := writeFile(out.path, out.write); err != nil {
+		if err := cli.WriteFile(out.path, out.write); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
@@ -129,43 +130,4 @@ func writeSummary(w io.Writer, tr *aitax.TraceRun, model string, dt aitax.DType,
 	}
 	fmt.Fprintf(w, "spans %d  flows %d  migrations %d  context switches %d\n",
 		len(tr.Spans), len(tr.Flows), tr.Migrations, tr.ContextSwitches)
-}
-
-// writeFile creates path and streams write into it.
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func parseDType(s string) (aitax.DType, error) {
-	switch s {
-	case "fp32", "float32":
-		return aitax.Float32, nil
-	case "int8", "uint8", "quant":
-		return aitax.UInt8, nil
-	default:
-		return aitax.Float32, fmt.Errorf("unknown dtype %q (fp32|int8)", s)
-	}
-}
-
-func parseDelegate(s string) (aitax.Delegate, error) {
-	switch s {
-	case "cpu":
-		return aitax.DelegateCPU, nil
-	case "gpu":
-		return aitax.DelegateGPU, nil
-	case "hexagon", "dsp":
-		return aitax.DelegateHexagon, nil
-	case "nnapi":
-		return aitax.DelegateNNAPI, nil
-	default:
-		return aitax.DelegateCPU, fmt.Errorf("unknown delegate %q (cpu|gpu|hexagon|nnapi)", s)
-	}
 }

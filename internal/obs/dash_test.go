@@ -70,3 +70,13 @@ func TestDashboardEmptyRecorder(t *testing.T) {
 		t.Fatalf("empty dashboard should still print the aggregate row:\n%s", out)
 	}
 }
+
+func TestSparkline(t *testing.T) {
+	// Indices scale to the max: 0→▁, 1→▁ (1/8·7=0.875), 2→▂, 4→▄, 8→█.
+	if got := Sparkline([]float64{0, 1, 2, 4, 8}); got != "▁▁▂▄█" {
+		t.Fatalf("sparkline = %q", got)
+	}
+	if got := Sparkline([]float64{0, 0, 0}); got != "▁▁▁" {
+		t.Fatalf("all-zero sparkline = %q", got)
+	}
+}

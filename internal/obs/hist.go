@@ -1,21 +1,17 @@
-// Package obs is the streaming observability layer: bounded-memory
-// mergeable histograms, a windowed time-series recorder, SLO burn-rate
+// Package obs is the streaming observability layer: a windowed
+// time-series recorder over mergeable histograms, SLO burn-rate
 // monitoring, and a live text dashboard for the serving frontend.
 //
 // Everything in this package is deterministic given its inputs — no
 // wall clocks, no sampling randomness — so the virtual-time simulator
 // can drive it and golden-diff the result, while the HTTP frontend
 // drives the identical code on wall-clock timestamps. Memory is flat by
-// construction: histograms are fixed-bucket (no sample retention) and
-// the recorder is a ring of windows, so a run of any length holds the
-// same number of bytes.
+// construction: histograms are fixed-bucket stats.Histogram values (no
+// sample retention) and the recorder is a ring of windows, so a run of
+// any length holds the same number of bytes.
 package obs
 
-import (
-	"fmt"
-
-	"aitax/internal/telemetry"
-)
+import "aitax/internal/stats"
 
 // DefaultBounds are the default histogram bucket upper bounds for
 // latency-like series, in milliseconds: a 1-1.5-2.5-4-6 ladder per
@@ -33,167 +29,17 @@ var DefaultBounds = func() []float64 {
 	return append(out, 100000)
 }()
 
-// Histogram is a fixed-bucket, bounded-memory histogram: counts per
-// bucket plus count/sum/min/max. Two histograms with the same bounds
-// merge exactly (counts add), and quantiles are deterministic linear
-// interpolations inside the bucket holding the requested rank — the
-// "streaming mergeable statistics" building block the fleet roadmap
-// item asks for.
-type Histogram struct {
-	bounds []float64
-	counts []int64 // len(bounds)+1; last is the +Inf overflow bucket
-	count  int64
-	sum    float64
-	min    float64
-	max    float64
-}
+// Histogram and NewHistogram remain only because the benchmark harness
+// under aitaxbench/ compiles against them, and that harness stays
+// unchanged so runs of different commits measure the same thing. New
+// code uses stats.Histogram directly.
+type Histogram = stats.Histogram
 
-// NewHistogram returns an empty histogram over the given bucket upper
-// bounds (nil means DefaultBounds). Bounds must be strictly increasing.
+// NewHistogram returns stats.NewHistogram(bounds), with nil meaning
+// DefaultBounds. Kept for aitaxbench/ (see Histogram).
 func NewHistogram(bounds []float64) *Histogram {
 	if bounds == nil {
 		bounds = DefaultBounds
 	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("obs: bounds not increasing at %d: %g <= %g", i, bounds[i], bounds[i-1]))
-		}
-	}
-	return &Histogram{bounds: bounds, counts: make([]int64, len(bounds)+1)}
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	if h.count == 0 || v < h.min {
-		h.min = v
-	}
-	if h.count == 0 || v > h.max {
-		h.max = v
-	}
-	h.count++
-	h.sum += v
-	h.counts[h.bucket(v)]++
-}
-
-// bucket returns the index of the bucket v lands in (binary search:
-// first bound >= v).
-func (h *Histogram) bucket(v float64) int {
-	lo, hi := 0, len(h.bounds)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if v <= h.bounds[mid] {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count }
-
-// Sum returns the observation sum.
-func (h *Histogram) Sum() float64 { return h.sum }
-
-// Min and Max return the observed extremes (0 when empty).
-func (h *Histogram) Min() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
-}
-
-// Max returns the largest observation (0 when empty).
-func (h *Histogram) Max() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.max
-}
-
-// Mean returns the observation mean (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
-
-// Quantile returns the interpolated q-quantile (q in [0,1]), clamped to
-// the observed [min, max] range; 0 when empty. Deterministic: a pure
-// function of the bucket counts and extremes, so any merge order of the
-// same windows reports the same percentiles.
-func (h *Histogram) Quantile(q float64) float64 {
-	return telemetry.QuantileFromBuckets(h.bounds, h.counts, h.count, h.min, h.max, q)
-}
-
-// Merge folds other into h. Both histograms must share bounds (the
-// usual case: every series in a recorder uses the recorder's bounds);
-// merging histograms whose bounds differ — in length or in any value —
-// panics rather than silently producing a miscounted distribution.
-func (h *Histogram) Merge(other *Histogram) {
-	if other == nil || other.count == 0 {
-		return
-	}
-	if len(h.bounds) != len(other.bounds) {
-		panic("obs: merging histograms with different bounds")
-	}
-	// Same backing array (the common case: both built from one bounds
-	// slice) needs no value scan.
-	if len(h.bounds) > 0 && &h.bounds[0] != &other.bounds[0] {
-		for i := range h.bounds {
-			if h.bounds[i] != other.bounds[i] {
-				panic("obs: merging histograms with different bounds")
-			}
-		}
-	}
-	if h.count == 0 || other.min < h.min {
-		h.min = other.min
-	}
-	if h.count == 0 || other.max > h.max {
-		h.max = other.max
-	}
-	h.count += other.count
-	h.sum += other.sum
-	for i, c := range other.counts {
-		h.counts[i] += c
-	}
-}
-
-// Reset empties the histogram in place, keeping its bucket storage —
-// the recorder reuses window slots through this, so steady-state
-// recording does not allocate.
-func (h *Histogram) Reset() {
-	h.count = 0
-	h.sum = 0
-	h.min = 0
-	h.max = 0
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-}
-
-// Summary condenses the histogram for export rows.
-func (h *Histogram) Summary() HistSummary {
-	return HistSummary{
-		Count: h.count,
-		Sum:   h.sum,
-		Min:   h.Min(),
-		Max:   h.Max(),
-		P50:   h.Quantile(0.50),
-		P90:   h.Quantile(0.90),
-		P99:   h.Quantile(0.99),
-	}
-}
-
-// HistSummary is the JSON-exported shape of one window's histogram.
-type HistSummary struct {
-	Count int64   `json:"count"`
-	Sum   float64 `json:"sum"`
-	Min   float64 `json:"min"`
-	Max   float64 `json:"max"`
-	P50   float64 `json:"p50"`
-	P90   float64 `json:"p90"`
-	P99   float64 `json:"p99"`
+	return stats.NewHistogram(bounds)
 }

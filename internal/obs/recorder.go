@@ -6,6 +6,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"aitax/internal/stats"
 )
 
 // Row is one closed aggregation window, the unit of the time-series
@@ -25,7 +27,7 @@ type Row struct {
 	// this window appear.
 	Counters map[string]float64 `json:"counters,omitempty"`
 	// Hists holds the window's histogram summaries.
-	Hists map[string]HistSummary `json:"hists,omitempty"`
+	Hists map[string]stats.HistSummary `json:"hists,omitempty"`
 }
 
 // RecorderConfig fixes a recorder's windowing policy.
@@ -66,7 +68,7 @@ type counterRing struct {
 
 // histRing is one histogram series' ring of window cells.
 type histRing struct {
-	hists []*Histogram
+	hists []*stats.Histogram
 	tag   []int
 }
 
@@ -191,25 +193,7 @@ func (r *Recorder) Observe(at time.Duration, name string, v float64) {
 		r.dropped++
 		return
 	}
-	h := r.hists[name]
-	if h == nil {
-		h = &histRing{hists: make([]*Histogram, r.cfg.Keep), tag: make([]int, r.cfg.Keep)}
-		for i := range h.tag {
-			h.tag[i] = -1
-		}
-		r.hists[name] = h
-		r.dirty = true
-	}
-	slot := idx % r.cfg.Keep
-	if h.tag[slot] != idx {
-		h.tag[slot] = idx
-		if h.hists[slot] == nil {
-			h.hists[slot] = NewHistogram(r.cfg.Bounds)
-		} else {
-			h.hists[slot].Reset()
-		}
-	}
-	h.hists[slot].Observe(v)
+	r.windowHistLocked(name, idx).Observe(v)
 }
 
 // Touch creates the named histogram series (with an empty histogram in
@@ -224,9 +208,16 @@ func (r *Recorder) Touch(at time.Duration, name string) {
 	if idx < r.head-r.cfg.Keep+1 || idx < r.closedTo {
 		return
 	}
+	r.windowHistLocked(name, idx)
+}
+
+// windowHistLocked returns the named series' histogram for window idx,
+// creating the series ring on first use and claiming (resetting) the
+// window's ring cell if an older window still holds it.
+func (r *Recorder) windowHistLocked(name string, idx int) *stats.Histogram {
 	h := r.hists[name]
 	if h == nil {
-		h = &histRing{hists: make([]*Histogram, r.cfg.Keep), tag: make([]int, r.cfg.Keep)}
+		h = &histRing{hists: make([]*stats.Histogram, r.cfg.Keep), tag: make([]int, r.cfg.Keep)}
 		for i := range h.tag {
 			h.tag[i] = -1
 		}
@@ -237,11 +228,12 @@ func (r *Recorder) Touch(at time.Duration, name string) {
 	if h.tag[slot] != idx {
 		h.tag[slot] = idx
 		if h.hists[slot] == nil {
-			h.hists[slot] = NewHistogram(r.cfg.Bounds)
+			h.hists[slot] = stats.NewHistogram(r.cfg.Bounds)
 		} else {
 			h.hists[slot].Reset()
 		}
 	}
+	return h.hists[slot]
 }
 
 // sortedNamesLocked returns the union of series names, sorted.
@@ -278,7 +270,7 @@ func (r *Recorder) buildRowLocked(w int) (Row, bool) {
 		}
 		if h, ok := r.hists[name]; ok && h.tag[slot] == w && h.hists[slot].Count() > 0 {
 			if row.Hists == nil {
-				row.Hists = make(map[string]HistSummary)
+				row.Hists = make(map[string]stats.HistSummary)
 			}
 			row.Hists[name] = h.hists[slot].Summary()
 		}
@@ -306,8 +298,8 @@ func (r *Recorder) Flush() {
 // windows (ending at the head) into one histogram — the rolling
 // percentile read the dashboard uses. Always returns a histogram,
 // possibly empty.
-func (r *Recorder) MergedHist(name string, lastN int) *Histogram {
-	out := NewHistogram(r.cfg.Bounds)
+func (r *Recorder) MergedHist(name string, lastN int) *stats.Histogram {
+	out := stats.NewHistogram(r.cfg.Bounds)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h, ok := r.hists[name]

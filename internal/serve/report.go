@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"aitax/internal/stats"
 )
 
 // ms renders a duration in milliseconds for the report's columns.
@@ -16,14 +18,7 @@ func quantileDur(sorted []time.Duration, q float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0
 	}
-	idx := int(float64(len(sorted))*q+0.9999999) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
+	return sorted[stats.NearestRank(len(sorted), q)]
 }
 
 // modelAgg is one model's (or the aggregate's) report row.

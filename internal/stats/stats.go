@@ -1,14 +1,14 @@
 // Package stats provides the descriptive statistics used throughout the
 // AI-tax experiments: summaries with percentiles, coefficients of
-// variation, histograms, and simple text rendering for distribution
-// figures (paper Fig. 11).
+// variation, the repository's one mergeable fixed-bucket histogram
+// (with its text rendering for distribution figures, paper Fig. 11),
+// and streaming regression accumulators.
 package stats
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -197,75 +197,6 @@ func (s *Sample) Summarize() Summary {
 func (sm Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.3f sd=%.3f cv=%.1f%% min=%.3f p50=%.3f p90=%.3f p99=%.3f max=%.3f maxdev=%.1f%%",
 		sm.N, sm.Mean, sm.StdDev, sm.CV*100, sm.Min, sm.Median, sm.P90, sm.P99, sm.Max, sm.MaxDevFromMedian*100)
-}
-
-// Histogram bins observations into equal-width buckets.
-type Histogram struct {
-	Lo, Hi  float64
-	Counts  []int
-	Total   int
-	Under   int
-	Over    int
-	binSize float64
-}
-
-// NewHistogram creates a histogram over [lo, hi) with bins buckets.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic("stats: invalid histogram bounds")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins), binSize: (hi - lo) / float64(bins)}
-}
-
-// Add bins one observation.
-func (h *Histogram) Add(x float64) {
-	h.Total++
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int((x - h.Lo) / h.binSize)
-		if i >= len(h.Counts) {
-			i = len(h.Counts) - 1
-		}
-		h.Counts[i]++
-	}
-}
-
-// HistogramOf bins all of a sample's observations between its min and max.
-func HistogramOf(s *Sample, bins int) *Histogram {
-	lo, hi := s.Min(), s.Max()
-	if hi <= lo {
-		hi = lo + 1
-	}
-	h := NewHistogram(lo, hi*1.0000001, bins)
-	for _, x := range s.Values() {
-		h.Add(x)
-	}
-	return h
-}
-
-// Render draws the histogram as ASCII rows, one row per bin, with bars
-// scaled to width characters.
-func (h *Histogram) Render(width int) string {
-	peak := 0
-	for _, c := range h.Counts {
-		if c > peak {
-			peak = c
-		}
-	}
-	if peak == 0 {
-		peak = 1
-	}
-	var b strings.Builder
-	for i, c := range h.Counts {
-		lo := h.Lo + float64(i)*h.binSize
-		bar := strings.Repeat("#", c*width/peak)
-		fmt.Fprintf(&b, "%10.2f | %-*s %d\n", lo, width, bar, c)
-	}
-	return b.String()
 }
 
 // GeoMean returns the geometric mean of positive values; zero or negative

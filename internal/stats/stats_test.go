@@ -111,40 +111,48 @@ func TestFromDurations(t *testing.T) {
 }
 
 func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
+	h := NewHistogram([]float64{2, 4, 6, 8, 10})
 	for _, x := range []float64{0, 1, 2.5, 5, 9.9, -1, 10, 11} {
-		h.Add(x)
+		h.Observe(x)
 	}
-	if h.Total != 8 {
-		t.Fatalf("total = %d, want 8", h.Total)
+	if h.Count() != 8 {
+		t.Fatalf("count = %d, want 8", h.Count())
 	}
-	if h.Under != 1 || h.Over != 2 {
-		t.Fatalf("under/over = %d/%d, want 1/2", h.Under, h.Over)
+	_, counts := h.Buckets()
+	want := []int64{3, 1, 1, 0, 2, 1} // -1 0 1 | 2.5 | 5 | - | 9.9 10 | +Inf: 11
+	for i := range want {
+		if counts[i] != want[i] {
+			t.Fatalf("counts = %v, want %v", counts, want)
+		}
 	}
-	sum := 0
-	for _, c := range h.Counts {
-		sum += c
-	}
-	if sum != 5 {
-		t.Fatalf("binned = %d, want 5", sum)
-	}
-	if h.Counts[0] != 2 { // 0 and 1
-		t.Fatalf("bin0 = %d, want 2", h.Counts[0])
+	if h.Min() != -1 || h.Max() != 11 || !almost(h.Sum(), 38.4, 1e-9) {
+		t.Fatalf("min/max/sum = %g/%g/%g, want -1/11/38.4", h.Min(), h.Max(), h.Sum())
 	}
 }
 
 func TestHistogramOfCoversAll(t *testing.T) {
 	s := FromFloats([]float64{1, 2, 3, 4, 5})
 	h := HistogramOf(s, 4)
-	sum := h.Under + h.Over
-	for _, c := range h.Counts {
+	bounds, counts := h.Buckets()
+	if len(bounds) != 4 {
+		t.Fatalf("%d bounded buckets, want 4", len(bounds))
+	}
+	sum := int64(0)
+	for _, c := range counts[:len(bounds)] {
 		sum += c
 	}
-	if sum != 5 || h.Under != 0 || h.Over != 0 {
-		t.Fatalf("histogram lost observations: under=%d over=%d", h.Under, h.Over)
+	if sum != 5 || counts[len(bounds)] != 0 || h.Count() != 5 {
+		t.Fatalf("histogram lost observations: bounded=%d overflow=%d", sum, counts[len(bounds)])
 	}
-	if h.Render(20) == "" {
-		t.Fatal("render must produce output")
+	// The Fig. 11 view: one row per bounded bucket, labelled with the
+	// bucket's lower edge (the minimum for row 0), bars scaled to the
+	// tallest row.
+	want := "      1.00 | ########## 2\n" +
+		"      2.00 | #####      1\n" +
+		"      3.00 | #####      1\n" +
+		"      4.00 | #####      1\n"
+	if got := h.Render(10); got != want {
+		t.Fatalf("render:\n%s\nwant:\n%s", got, want)
 	}
 }
 

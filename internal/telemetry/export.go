@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"aitax/internal/stats"
 )
 
 // WritePrometheus renders the registry in the Prometheus text
@@ -38,15 +40,16 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for _, k := range sortedKeysH(r.hists) {
 		h := r.hists[k]
 		emitType(baseName(k), "histogram")
+		bounds, counts := h.Buckets()
 		cum := int64(0)
-		for i, ub := range DefaultBuckets {
-			cum += h.counts[i]
+		for i, ub := range bounds {
+			cum += counts[i]
 			fmt.Fprintf(bw, "%s %d\n", spliceLabel(k, "_bucket", "le", formatFloat(ub)), cum)
 		}
-		cum += h.counts[len(DefaultBuckets)]
+		cum += counts[len(bounds)]
 		fmt.Fprintf(bw, "%s %d\n", spliceLabel(k, "_bucket", "le", "+Inf"), cum)
-		fmt.Fprintf(bw, "%s %s\n", suffixed(k, "_sum"), formatFloat(h.sum))
-		fmt.Fprintf(bw, "%s %d\n", suffixed(k, "_count"), h.count)
+		fmt.Fprintf(bw, "%s %s\n", suffixed(k, "_sum"), formatFloat(h.Sum()))
+		fmt.Fprintf(bw, "%s %d\n", suffixed(k, "_count"), h.Count())
 		for _, q := range []struct {
 			suffix string
 			q      float64
@@ -63,15 +66,10 @@ func suffixed(key, suffix string) string {
 	return base + suffix + key[len(base):]
 }
 
-// HistogramJSON is a histogram's JSON export shape.
+// HistogramJSON is a histogram's JSON export shape. The embedded
+// summary's fields serialise in place, ahead of the bucket counts.
 type HistogramJSON struct {
-	Count   int64            `json:"count"`
-	Sum     float64          `json:"sum"`
-	Min     float64          `json:"min"`
-	Max     float64          `json:"max"`
-	P50     float64          `json:"p50"`
-	P90     float64          `json:"p90"`
-	P99     float64          `json:"p99"`
+	stats.HistSummary
 	Buckets map[string]int64 `json:"buckets"`
 }
 
@@ -102,21 +100,23 @@ func (r *Registry) Snapshot() RegistryJSON {
 		out.Gauges[k] = v
 	}
 	for k, h := range r.hists {
+		bounds, counts := h.Buckets()
 		hj := HistogramJSON{
-			Count:   h.count,
-			Sum:     h.sum,
-			P50:     h.quantile(0.5),
-			P90:     h.quantile(0.9),
-			P99:     h.quantile(0.99),
-			Buckets: map[string]int64{},
+			HistSummary: stats.HistSummary{
+				Count: h.Count(),
+				Sum:   h.Sum(),
+				Min:   h.Min(),
+				Max:   h.Max(),
+				P50:   h.quantile(0.5),
+				P90:   h.quantile(0.9),
+				P99:   h.quantile(0.99),
+			},
+			Buckets: make(map[string]int64, len(counts)),
 		}
-		if h.count > 0 {
-			hj.Min, hj.Max = h.min, h.max
+		for i, ub := range bounds {
+			hj.Buckets["le:"+formatFloat(ub)] = counts[i]
 		}
-		for i, ub := range DefaultBuckets {
-			hj.Buckets["le:"+formatFloat(ub)] = h.counts[i]
-		}
-		hj.Buckets["le:+Inf"] = h.counts[len(DefaultBuckets)]
+		hj.Buckets["le:+Inf"] = counts[len(bounds)]
 		out.Histograms[k] = hj
 	}
 	return out

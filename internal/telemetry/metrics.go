@@ -1,11 +1,12 @@
 package telemetry
 
 import (
-	"math"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+
+	"aitax/internal/stats"
 )
 
 // DefaultBuckets are the fixed histogram bucket upper bounds, in the
@@ -17,19 +18,16 @@ var DefaultBuckets = []float64{
 	0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000,
 }
 
-// histogram is a fixed-bucket histogram. In the default (exact) mode it
-// also retains every observation in insertion order, so quantiles are
-// exact and merges are deterministic. In streaming mode it keeps only
+// histogram is one registry series: a stats.Histogram over
+// DefaultBuckets. In the default (exact) mode it also retains every
+// observation in insertion order, so quantiles are exact nearest-rank
+// values and merges are deterministic. In streaming mode it keeps only
 // the bucket counts plus count/sum/min/max, so memory stays flat no
 // matter how many observations arrive; quantiles degrade to
 // deterministic bucket interpolation.
 type histogram struct {
-	counts []int64 // per DefaultBuckets bound, plus a final +Inf bucket
+	*stats.Histogram
 	values []float64
-	count  int64
-	sum    float64
-	min    float64
-	max    float64
 	// streaming disables observation retention (see Registry streaming
 	// mode). A histogram also turns streaming when merged from a
 	// streaming source: the raw values no longer exist to retain.
@@ -37,35 +35,21 @@ type histogram struct {
 }
 
 func newHistogram(streaming bool) *histogram {
-	return &histogram{counts: make([]int64, len(DefaultBuckets)+1), streaming: streaming}
+	return &histogram{Histogram: stats.NewHistogram(DefaultBuckets), streaming: streaming}
 }
 
 func (h *histogram) observe(v float64) {
 	if !h.streaming {
 		h.values = append(h.values, v)
 	}
-	if h.count == 0 || v < h.min {
-		h.min = v
-	}
-	if h.count == 0 || v > h.max {
-		h.max = v
-	}
-	h.count++
-	h.sum += v
-	for i, ub := range DefaultBuckets {
-		if v <= ub {
-			h.counts[i]++
-			return
-		}
-	}
-	h.counts[len(DefaultBuckets)]++
+	h.Observe(v)
 }
 
 // quantile returns the q-quantile (q in [0,1]): exact nearest-rank when
 // the observations are retained, bucket-interpolated otherwise.
 func (h *histogram) quantile(q float64) float64 {
 	if h.streaming {
-		return QuantileFromBuckets(DefaultBuckets, h.counts, h.count, h.min, h.max, q)
+		return h.Quantile(q)
 	}
 	n := len(h.values)
 	if n == 0 {
@@ -74,60 +58,7 @@ func (h *histogram) quantile(q float64) float64 {
 	sorted := make([]float64, n)
 	copy(sorted, h.values)
 	sort.Float64s(sorted)
-	idx := int(math.Ceil(q*float64(n))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	return sorted[idx]
-}
-
-// QuantileFromBuckets estimates the q-quantile of a fixed-bucket
-// histogram by linear interpolation inside the bucket holding the
-// nearest-rank observation. bounds are the bucket upper bounds; counts
-// has len(bounds)+1 entries (the last is the +Inf overflow bucket);
-// total is the observation count and min/max the observed extremes,
-// which clamp the estimate so it never leaves the observed range. The
-// estimate is a pure function of its inputs, so merged histograms
-// report identical quantiles regardless of merge order.
-func QuantileFromBuckets(bounds []float64, counts []int64, total int64, min, max float64, q float64) float64 {
-	if total == 0 {
-		return 0
-	}
-	rank := int64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > total {
-		rank = total
-	}
-	var cum int64
-	for i, n := range counts {
-		if n == 0 {
-			continue
-		}
-		cum += n
-		if cum < rank {
-			continue
-		}
-		lo := min
-		if i > 0 && bounds[i-1] > lo {
-			lo = bounds[i-1]
-		}
-		hi := max
-		if i < len(bounds) && bounds[i] < hi {
-			hi = bounds[i]
-		}
-		if hi < lo {
-			hi = lo
-		}
-		// Position of the rank within this bucket's occupants.
-		frac := float64(rank-(cum-n)) / float64(n)
-		return lo + (hi-lo)*frac
-	}
-	return max
+	return sorted[stats.NearestRank(n, q)]
 }
 
 // Registry is a deterministic metrics store: counters, gauges, and
@@ -332,7 +263,7 @@ func (r *Registry) Count(name string) int64 {
 	if h == nil {
 		return 0
 	}
-	return h.count
+	return h.Count()
 }
 
 // Sum returns a histogram's observation sum (0 when absent or on nil).
@@ -346,7 +277,7 @@ func (r *Registry) Sum(name string) float64 {
 	if h == nil {
 		return 0
 	}
-	return h.sum
+	return h.Sum()
 }
 
 // Quantile returns the exact nearest-rank quantile of a histogram
@@ -415,28 +346,15 @@ func (r *Registry) Merge(other *Registry) {
 			h = newHistogram(r.streaming)
 			r.hists[k] = h
 		}
-		if oh.streaming && !h.streaming {
+		if oh.streaming {
 			h.streaming = true
-			h.values = nil
 		}
 		if h.streaming {
 			h.values = nil
 		} else {
 			h.values = append(h.values, oh.values...)
 		}
-		if oh.count > 0 {
-			if h.count == 0 || oh.min < h.min {
-				h.min = oh.min
-			}
-			if h.count == 0 || oh.max > h.max {
-				h.max = oh.max
-			}
-		}
-		h.count += oh.count
-		h.sum += oh.sum
-		for i := range oh.counts {
-			h.counts[i] += oh.counts[i]
-		}
+		h.Merge(oh.Histogram)
 	}
 }
 

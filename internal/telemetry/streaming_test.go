@@ -3,8 +3,10 @@ package telemetry
 import (
 	"bufio"
 	"fmt"
+	"maps"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -261,6 +263,72 @@ func TestLabeledUnchangedForPlainValues(t *testing.T) {
 	want := `aitax_serve_latency_ms{model="MobileNet 1.0 v1"}`
 	if got != want {
 		t.Fatalf("Labeled = %q, want %q", got, want)
+	}
+}
+
+// TestExactAndStreamingShareBuckets: both registry modes keep one
+// bucket histogram, so fed the same observations and the same Merge
+// they emit identical _bucket, _sum and _count rows and identical JSON
+// count/sum/min/max/buckets; only the quantile rows may differ.
+func TestExactAndStreamingShareBuckets(t *testing.T) {
+	series := Labeled("aitax_stage_ms", "stage", "pre")
+	feed := func(r *Registry, offset float64) {
+		for i := 0; i < 400; i++ {
+			r.Observe(series, offset+float64(i%97)*0.37)
+		}
+		// Values on the bucket edges land in the edge's own bucket.
+		for _, ub := range DefaultBuckets {
+			r.Observe("edge_ms", ub)
+		}
+		r.Observe("edge_ms", 5000)
+		r.Observe("edge_ms", -1)
+	}
+	exact, stream := NewRegistry(), NewStreamingRegistry()
+	feed(exact, 0)
+	feed(stream, 0)
+	src := NewRegistry()
+	feed(src, 700)
+	exact.Merge(src)
+	stream.Merge(src)
+	if exact.Streaming() || !stream.Streaming() {
+		t.Fatal("merge changed a registry's mode")
+	}
+
+	rows := func(r *Registry) []string {
+		var buf strings.Builder
+		if err := r.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var keep []string
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if strings.Contains(line, "_bucket{") || strings.Contains(line, "_sum") || strings.Contains(line, "_count") {
+				keep = append(keep, line)
+			}
+		}
+		return keep
+	}
+	er, sr := rows(exact), rows(stream)
+	if len(er) != 2*(len(DefaultBuckets)+3) {
+		t.Fatalf("%d bucket/sum/count rows, want %d:\n%s", len(er), 2*(len(DefaultBuckets)+3), strings.Join(er, "\n"))
+	}
+	if strings.Join(er, "\n") != strings.Join(sr, "\n") {
+		t.Fatalf("exact rows:\n%s\nstreaming rows:\n%s", strings.Join(er, "\n"), strings.Join(sr, "\n"))
+	}
+	// Cumulative rows: -1 and 0.05 from each of the two feeds, then
+	// one more edge value per bound.
+	if !slices.Contains(er, `edge_ms_bucket{le="0.05"} 4`) || !slices.Contains(er, `edge_ms_bucket{le="1000"} 30`) {
+		t.Fatalf("edge values not counted in their own bucket:\n%s", strings.Join(er, "\n"))
+	}
+
+	es, ss := exact.Snapshot().Histograms, stream.Snapshot().Histograms
+	for _, name := range []string{series, "edge_ms"} {
+		e, s := es[name], ss[name]
+		if e.Count != s.Count || e.Sum != s.Sum || e.Min != s.Min || e.Max != s.Max || !maps.Equal(e.Buckets, s.Buckets) {
+			t.Fatalf("%s: exact %+v, streaming %+v", name, e, s)
+		}
+	}
+	if e := es["edge_ms"]; e.Min != -1 || e.Max != 5000 {
+		t.Fatalf("edge_ms min/max %g/%g, want -1/5000", e.Min, e.Max)
 	}
 }
 
