@@ -122,8 +122,9 @@ slo-demo:
 	@echo "slo-demo ok: burn-rate report matches golden at any parallelism"
 
 # Brownout smoke: the pinned overload storm with the QoS brownout
-# controller enabled, diffed against the committed golden (the full
-# degradation anatomy stays deterministic), then the aitax-validate
+# controller enabled, its report, -metrics and -obs exports diffed
+# against the committed goldens (the full degradation anatomy and both
+# export formats stay deterministic), then the aitax-validate
 # graceful-degradation gate — ladder engages and recovers, only
 # best-effort is shed, and the controller holds the interactive p99
 # inside an objective the frozen baseline violates (see docs/QOS.md).
@@ -134,8 +135,11 @@ brownout-demo:
 		-qos "tick=5ms,hold=6,short=2,long=4,enter=0.1/0.2/0.3,exit=0.04/0.08/0.15" \
 		-downshift "EfficientNet-Lite0=MobileNet 1.0 v1" \
 		-mix "EfficientNet-Lite0=2,EfficientNet-Lite0=2:best-effort,EfficientNet-Lite0=1:interactive" \
-		-ramp 300x300ms,4x3s -seed 11 -queue-depth 64 > brownout_demo.txt
+		-ramp 300x300ms,4x3s -seed 11 -queue-depth 64 \
+		-metrics brownout_demo.prom -obs brownout_demo.jsonl > brownout_demo.txt
 	diff -u cmd/aitax-serve/testdata/brownout_report.golden brownout_demo.txt
+	diff -u cmd/aitax-serve/testdata/brownout_metrics.golden brownout_demo.prom
+	diff -u cmd/aitax-serve/testdata/brownout_obs.golden brownout_demo.jsonl
 	$(GO) run ./cmd/aitax-validate -brownout
 	@echo "brownout-demo ok: degradation anatomy matches golden and the gate passed"
 
@@ -154,4 +158,4 @@ fleet-demo:
 	@echo "fleet-demo ok: population report matches golden at any sharding"
 
 clean:
-	rm -f test_output.txt bench_output.txt bench_smoke.txt BENCH_smoke.json bench_wall.txt BENCH_wall.json trace_demo.json trace_demo.prom trace_demo.jsonl serve_smoke.txt slo_demo.txt brownout_demo.txt fleet_demo.txt fleet_population.jsonl
+	rm -f test_output.txt bench_output.txt bench_smoke.txt BENCH_smoke.json bench_wall.txt BENCH_wall.json trace_demo.json trace_demo.prom trace_demo.jsonl serve_smoke.txt slo_demo.txt brownout_demo.txt brownout_demo.prom brownout_demo.jsonl fleet_demo.txt fleet_population.jsonl

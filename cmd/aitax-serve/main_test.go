@@ -413,3 +413,36 @@ func TestPrewarmFlagKeepsReportByteIdentical(t *testing.T) {
 		t.Fatalf("prewarm accounting missing from stderr:\n%s", warmedErr.String())
 	}
 }
+
+// TestGoldenBrownoutExportsAtAnyParallelism pins the storm's -metrics
+// and -obs files, not just its report: both exports must be identical
+// at -parallel 1/2/8 and match the committed goldens.
+func TestGoldenBrownoutExportsAtAnyParallelism(t *testing.T) {
+	for _, par := range []string{"1", "2", "8"} {
+		dir := t.TempDir()
+		prom := filepath.Join(dir, "metrics.prom")
+		rows := filepath.Join(dir, "rows.jsonl")
+		args := append(append([]string{}, brownoutArgs...), "-parallel", par, "-metrics", prom, "-obs", rows)
+		var out, errb bytes.Buffer
+		if code := run(args, &out, &errb); code != 0 {
+			t.Fatalf("-parallel %s: exit %d, stderr:\n%s", par, code, errb.String())
+		}
+		for _, f := range []struct{ got, golden string }{
+			{prom, "brownout_metrics.golden"},
+			{rows, "brownout_obs.golden"},
+		} {
+			got, err := os.ReadFile(f.got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", f.golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("-parallel %s: export diverged from %s\n--- got ---\n%s\n--- want ---\n%s",
+					par, f.golden, got, want)
+			}
+		}
+	}
+}
