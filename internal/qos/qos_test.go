@@ -127,6 +127,11 @@ func TestParseLadder(t *testing.T) {
 		"enter=0.9/0.7/0.95", // non-monotonic enters
 		"exit=NaN/0.4/0.6",   // NaN threshold
 		"turbo=1",            // unknown key
+		"hold=6junk",         // trailing input after the number
+		"budget=0.05%",       // trailing unit
+		"short=2x",           // trailing input
+		"page=10,long=16t",   // trailing input in a later pair
+		"enter=0.5/0.7/0.9x", // trailing input in a threshold
 	}
 	for _, in := range bad {
 		if _, err := ParseLadder(in); err == nil {

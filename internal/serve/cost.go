@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"time"
@@ -143,31 +144,42 @@ func drain(ctx context.Context, eng *sim.Engine) error {
 // the table is built once, in parallel, and the queueing simulation
 // replays it sequentially.
 type CostTable struct {
-	maxBatch int
-	entries  map[string][]BatchCost
+	entries map[string][]BatchCost
 	// steer holds the same grid measured on the QoS steer delegate;
 	// populated only when the config carries a QoS policy.
 	steer map[string][]BatchCost
 }
 
-// Cost returns the measured cost for a k-request batch of model.
-func (t *CostTable) Cost(model string, k int) BatchCost {
-	row, ok := t.entries[model]
-	if !ok || k < 1 || k > len(row) {
-		panic(fmt.Sprintf("serve: no cost entry for %q batch %d", model, k))
+// ErrCostTableGap tags a cost table that cannot price every batch a
+// config can form: a loaded model or batch size it never measured, or
+// a QoS config's steer grid missing.
+var ErrCostTableGap = errors.New("serve: cost table does not cover the config")
+
+// covers reports the first (model, batch size) cfg can form that t has
+// no price for — every loaded model at k = 1..MaxBatch, on the steer
+// delegate too when cfg carries a QoS policy.
+func (t *CostTable) covers(cfg Config) error {
+	if t == nil {
+		return fmt.Errorf("%w: no table", ErrCostTableGap)
 	}
-	return row[k-1]
+	for _, m := range cfg.Models {
+		if len(t.entries[m.Name]) < cfg.MaxBatch {
+			return fmt.Errorf("%w: no cost entry for %q batch %d", ErrCostTableGap, m.Name, len(t.entries[m.Name])+1)
+		}
+		if cfg.QoS != nil && len(t.steer[m.Name]) < cfg.MaxBatch {
+			return fmt.Errorf("%w: no steer cost entry for %q batch %d", ErrCostTableGap, m.Name, len(t.steer[m.Name])+1)
+		}
+	}
+	return nil
 }
+
+// Cost returns the measured cost for a k-request batch of model. The
+// table must cover it (Simulate checks every price up front).
+func (t *CostTable) Cost(model string, k int) BatchCost { return t.entries[model][k-1] }
 
 // SteerCost returns the measured cost for a k-request batch of model on
 // the steer delegate.
-func (t *CostTable) SteerCost(model string, k int) BatchCost {
-	row, ok := t.steer[model]
-	if !ok || k < 1 || k > len(row) {
-		panic(fmt.Sprintf("serve: no steer cost entry for %q batch %d", model, k))
-	}
-	return row[k-1]
-}
+func (t *CostTable) SteerCost(model string, k int) BatchCost { return t.steer[model][k-1] }
 
 // BuildCostTable measures every (model, batch size) pair on the lab
 // worker pool. Each entry is an independent deterministic simulation,
@@ -216,9 +228,8 @@ func BuildCostTable(ctx context.Context, cfg Config, parallel int, onProgress fu
 	l := &lab.Lab{Parallelism: parallel, OnProgress: onProgress}
 	results := l.Run(ctx, jobs)
 	t := &CostTable{
-		maxBatch: cfg.MaxBatch,
-		entries:  make(map[string][]BatchCost),
-		steer:    make(map[string][]BatchCost),
+		entries: make(map[string][]BatchCost),
+		steer:   make(map[string][]BatchCost),
 	}
 	for i, r := range results {
 		if r.Err != nil {

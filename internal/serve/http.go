@@ -16,6 +16,7 @@ import (
 	"aitax/internal/models"
 	"aitax/internal/obs"
 	"aitax/internal/qos"
+	"aitax/internal/sim"
 	"aitax/internal/telemetry"
 )
 
@@ -29,59 +30,46 @@ var endpointTask = []struct {
 	{"/v1/segment", models.Segmentation},
 }
 
-// Server is the wall-clock HTTP frontend: the same admission /
-// micro-batching policy as the virtual-time simulator, but driven by
-// real requests on real time. Batches execute as lab jobs on simulated
-// executor stacks (compiled plans shared process-wide via plan.Shared),
-// bounded by Config.Workers.
+// Server is the wall-clock HTTP frontend: the serving policy the
+// virtual-time simulator runs, driven by real requests on real time.
+// Batches execute as lab jobs on simulated executor stacks (compiled
+// plans shared process-wide via plan.Shared), bounded by
+// Config.Workers.
 type Server struct {
-	cfg     Config
-	mux     *http.ServeMux
-	metrics *telemetry.Registry
-	lab     *lab.Lab
-	sem     chan struct{}
+	// policy's queues and brownout state are guarded by mu.
+	policy[*httpReq]
+	mux *http.ServeMux
+	lab *lab.Lab
+	sem chan struct{}
 	// retryAfter is the 429 Retry-After value in whole seconds, derived
 	// from the batch window (a client retrying sooner than the window
 	// cannot be admitted any faster).
 	retryAfter string
-	// start anchors the streaming recorder's wall-clock time axis.
+	// start anchors the harness clock: the policy's and the streaming
+	// recorder's time axis.
 	start time.Time
 	rec   *obs.Recorder
 	mon   *obs.Monitor
 
-	mu     sync.Mutex
-	queues map[string]*httpQueue
-	closed bool
-	wg     sync.WaitGroup
-	// qs is the brownout state (nil without a QoS policy), guarded by
-	// mu like the queues it gates; hot counts executing batches on the
-	// configured (heat-producing) delegate for the thermal tick's
-	// utilization sample.
-	qs       *qosState
-	hot      int
+	mu       sync.Mutex
+	wg       sync.WaitGroup
 	qosStop  chan struct{}
 	qosDone  chan struct{}
 	stopOnce sync.Once
 }
 
-type httpQueue struct {
-	model   *models.Model
-	pending []*httpReq
-	timer   *time.Timer
-	// queued counts admitted requests not yet in service.
-	queued int
-}
-
 type httpReq struct {
-	enq time.Time
-	ch  chan httpDone
+	// arrival and flushed are the request's admission and batch-flush
+	// times on the harness clock.
+	arrival time.Duration
+	flushed time.Duration
+	ch      chan httpDone
 }
 
 type httpDone struct {
-	batch int
-	wait  time.Duration
-	cost  BatchCost
-	err   error
+	started time.Duration
+	cost    BatchCost
+	err     error
 }
 
 // NewServer validates the config and builds the frontend. The cost of
@@ -93,18 +81,20 @@ func NewServer(cfg Config) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	// A long-running server takes unbounded traffic: the streaming
+	// registry keeps /metrics memory flat (bucketed quantiles instead
+	// of retained samples).
+	pol, err := newPolicy[*httpReq](cfg, telemetry.NewStreamingRegistry())
+	if err != nil {
+		return nil, err
+	}
 	s := &Server{
-		cfg: cfg,
-		mux: http.NewServeMux(),
-		// A long-running server takes unbounded traffic: the streaming
-		// registry keeps /metrics memory flat (bucketed quantiles
-		// instead of retained samples).
-		metrics:    telemetry.NewStreamingRegistry(),
+		policy:     pol,
+		mux:        http.NewServeMux(),
 		lab:        &lab.Lab{Parallelism: 1},
 		sem:        make(chan struct{}, cfg.Workers),
 		retryAfter: retryAfterSeconds(cfg.BatchWindow),
 		start:      time.Now(),
-		queues:     make(map[string]*httpQueue, len(cfg.Models)),
 	}
 	s.rec = obs.NewRecorder(obs.RecorderConfig{
 		Window: cfg.ObsWindow,
@@ -117,15 +107,7 @@ func NewServer(cfg Config) (*Server, error) {
 	if len(cfg.SLO) > 0 {
 		s.mon = obs.NewMonitor(cfg.SLO, s.rec.Window())
 	}
-	for _, m := range cfg.Models {
-		s.queues[m.Name] = &httpQueue{model: m}
-	}
-	if cfg.QoS != nil {
-		qs, err := newQOSState(cfg)
-		if err != nil {
-			return nil, err
-		}
-		s.qs = qs
+	if s.qs != nil {
 		s.qosStop = make(chan struct{})
 		s.qosDone = make(chan struct{})
 		go s.qosLoop()
@@ -236,38 +218,22 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Metrics exposes the server's registry (also served at /metrics).
 func (s *Server) Metrics() *telemetry.Registry { return s.metrics }
 
-// qosLoop drives the brownout controller on the wall clock: every tick
-// it samples executor utilization and queue occupancy, advances the
-// thermal model, and runs one ladder decision under the server mutex.
+// qosLoop drives the brownout controller on the wall clock: one
+// policy tick per ladder tick, under the server mutex.
 func (s *Server) qosLoop() {
 	defer close(s.qosDone)
 	t := time.NewTicker(s.qs.ctl.Ladder().Tick)
 	defer t.Stop()
-	last := s.now()
 	for {
 		select {
 		case <-s.qosStop:
 			return
 		case <-t.C:
-			now := s.now()
-			dt := now - last
-			last = now
-			faultTrip := s.cfg.Faults.ThermalTripAt > 0 && now >= s.cfg.Faults.ThermalTripAt
 			s.mu.Lock()
-			util := float64(s.hot) / float64(s.cfg.Workers)
-			frac := 0.0
-			for _, q := range s.queues {
-				if f := float64(q.queued) / float64(s.cfg.QueueDepth); f > frac {
-					frac = f
-				}
-			}
-			tk := s.qs.step(now, dt, util, frac, faultTrip)
-			temp := s.qs.therm.TempC()
+			now := s.now()
+			tk := s.tick(now)
 			s.mu.Unlock()
-			s.metrics.Set("aitax_qos_level", float64(tk.Level))
-			s.metrics.Set("aitax_qos_temp_c", temp)
 			if tk.Changed {
-				s.metrics.Inc("aitax_qos_transitions_total")
 				s.rec.Add(now, telemetry.Labeled("qos_transitions", "to", strconv.Itoa(tk.Level)), 1)
 			}
 		}
@@ -285,11 +251,7 @@ func (s *Server) Close() { s.Shutdown(context.Background()) }
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.closed = true
-	for _, q := range s.queues {
-		if q.timer != nil {
-			q.timer.Stop()
-			q.timer = nil
-		}
+	for _, q := range s.order {
 		s.flushLocked(q)
 	}
 	s.mu.Unlock()
@@ -407,93 +369,50 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request, task models
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
-	s.metrics.Inc(telemetry.Labeled("aitax_serve_requests_total", "model", m.Name))
 	arrival := s.now()
-	s.rec.Add(arrival, obs.OfferedSeries(m.Name), 1)
-	s.rec.Add(arrival, obs.OfferedSeries(obs.AllModels), 1)
-
-	hr := &httpReq{enq: time.Now(), ch: make(chan httpDone, 1)}
+	recordOffered(s.rec, arrival, m.Name)
+	hr := &httpReq{arrival: arrival, ch: make(chan httpDone, 1)}
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		// Draining: tell clients when to come back, not just to go away.
+	v, q, trig := s.admit(hr, m.Name, cls)
+	if v == admitted {
+		s.rec.Observe(arrival, obs.DepthSeries(q.model.Name), float64(q.queued))
+		s.rec.Observe(arrival, obs.DepthSeries(obs.AllModels), float64(s.backlog()))
+	}
+	switch trig {
+	case flushNow:
+		s.flushLocked(q)
+	case openWindow:
+		t := time.AfterFunc(s.cfg.BatchWindow, func() {
+			s.mu.Lock()
+			q.stopWindow = nil
+			s.flushLocked(q)
+			s.mu.Unlock()
+		})
+		q.stopWindow = func() { t.Stop() }
+	}
+	s.mu.Unlock()
+
+	switch v {
+	case draining:
+		// Tell clients when to come back, not just to go away.
 		w.Header().Set("Retry-After", s.retryAfter)
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server shutting down"})
 		return
-	}
-	// Brownout rung 1: shed best-effort traffic at admission. The shed
-	// outcome is not fed into the controller's burn signal.
-	if s.qs != nil && s.qs.ctl.Shed(cls) {
-		s.qs.deg.Shed[cls]++
-		s.mu.Unlock()
-		s.metrics.Inc(telemetry.Labeled("aitax_qos_shed_total", "class", cls.String()))
-		s.rec.Add(arrival, obs.ShedSeries(m.Name), 1)
-		s.rec.Add(arrival, obs.ShedSeries(obs.AllModels), 1)
+	case shed:
+		recordTurnedAway(s.rec, arrival, m.Name, true, s.cfg.SLO)
 		w.Header().Set("Retry-After", s.retryAfter)
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{
 			Error: fmt.Sprintf("shedding %s traffic under load; retry later", cls),
 		})
 		return
-	}
-	// Brownout rung 2: serve the request with its cheaper fallback.
-	served := m
-	if s.qs != nil && s.qs.ctl.Downshift() {
-		if to, ok := s.cfg.QoS.Downshift[m.Name]; ok {
-			if tm, loaded := s.cfg.modelByName(to); loaded {
-				served = tm
-				s.qs.deg.Downshifted++
-				s.metrics.Inc(telemetry.Labeled("aitax_qos_downshift_total", "model", m.Name))
-			}
-		}
-	}
-	q := s.queues[served.Name]
-	if q.queued >= s.cfg.QueueDepth {
-		s.mu.Unlock()
-		s.metrics.Inc(telemetry.Labeled("aitax_serve_rejected_total", "model", m.Name))
-		s.rec.Add(arrival, obs.RejectedSeries(m.Name), 1)
-		s.rec.Add(arrival, obs.RejectedSeries(obs.AllModels), 1)
-		for _, obj := range s.cfg.SLO {
-			if covered, _ := obj.Match(m.Name, 0, true); covered {
-				s.rec.Add(arrival, obs.BadSeries(obj), 1)
-			}
-		}
-		if s.qs != nil {
-			for _, obj := range s.cfg.SLO {
-				if covered, _ := obj.Match(m.Name, 0, true); covered {
-					s.mu.Lock()
-					s.qs.ctl.ObserveBad()
-					s.mu.Unlock()
-					break
-				}
-			}
-		}
+	case rejected:
+		recordTurnedAway(s.rec, arrival, m.Name, false, s.cfg.SLO)
 		w.Header().Set("Retry-After", s.retryAfter)
 		writeJSON(w, http.StatusTooManyRequests, errorResponse{
-			Error: fmt.Sprintf("queue for %q is full (depth %d); retry later", served.Name, s.cfg.QueueDepth),
+			Error: fmt.Sprintf("queue for %q is full (depth %d); retry later", q.model.Name, s.cfg.QueueDepth),
 		})
 		return
 	}
-	q.queued++
-	s.rec.Observe(arrival, obs.DepthSeries(served.Name), float64(q.queued))
-	q.pending = append(q.pending, hr)
-	switch {
-	case len(q.pending) >= s.cfg.MaxBatch:
-		if q.timer != nil {
-			q.timer.Stop()
-			q.timer = nil
-		}
-		s.flushLocked(q)
-	case s.cfg.BatchWindow == 0:
-		s.flushLocked(q)
-	case len(q.pending) == 1:
-		q.timer = time.AfterFunc(s.cfg.BatchWindow, func() {
-			s.mu.Lock()
-			q.timer = nil
-			s.flushLocked(q)
-			s.mu.Unlock()
-		})
-	}
-	s.mu.Unlock()
 
 	select {
 	case done := <-hr.ch:
@@ -501,18 +420,35 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request, task models
 			writeJSON(w, http.StatusInternalServerError, errorResponse{Error: done.err.Error()})
 			return
 		}
-		s.recordServed(m.Name, done)
-		k := time.Duration(done.batch)
+		// Latency is the client's composite view: wall-clock queueing on
+		// this host plus the batch's virtual execution on the simulated
+		// SoC.
+		service := s.cfg.DispatchCost + done.cost.Service
+		o := Outcome{
+			Model:   m.Name,
+			Arrival: sim.Time(hr.arrival),
+			Flushed: sim.Time(hr.flushed),
+			Started: sim.Time(done.started),
+		}
+		o.Finished = o.Started.Add(service)
+		o.charge(done.cost, s.cfg.DispatchCost)
+		recordServed(s.rec, o, s.now(), s.cfg.SLO)
+		if s.qs != nil {
+			s.mu.Lock()
+			s.score(m.Name, o.Latency())
+			s.mu.Unlock()
+		}
+		queueWait := o.Started.Sub(o.Arrival)
 		resp := inferResponse{
 			Model:     m.Name,
-			Batch:     done.batch,
-			QueueMS:   ms(done.wait),
-			ServiceMS: ms(s.cfg.DispatchCost + done.cost.Service),
-			InferMS:   ms(done.cost.Infer / k),
-			TaxMS:     ms(done.wait + (done.cost.Tax+s.cfg.DispatchCost)/k),
+			Batch:     o.BatchSize,
+			QueueMS:   ms(queueWait),
+			ServiceMS: ms(service),
+			InferMS:   ms(o.Infer),
+			TaxMS:     ms(queueWait + o.ComputeTax),
 		}
-		if served != m {
-			resp.ServedBy = served.Name
+		if q.model != m {
+			resp.ServedBy = q.model.Name
 		}
 		writeJSON(w, http.StatusOK, resp)
 	case <-r.Context().Done():
@@ -522,19 +458,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request, task models
 		// flushed, the buffered channel lets the batch finish without
 		// leaking the executor goroutine.
 		s.mu.Lock()
-		removed := false
-		for i, p := range q.pending {
-			if p == hr {
-				q.pending = append(q.pending[:i], q.pending[i+1:]...)
-				q.queued--
-				removed = true
-				break
-			}
-		}
-		if removed && len(q.pending) == 0 && q.timer != nil {
-			q.timer.Stop()
-			q.timer = nil
-		}
+		removed := s.withdraw(q, hr)
 		s.mu.Unlock()
 		if removed {
 			at := s.now()
@@ -548,134 +472,55 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request, task models
 
 // flushLocked closes q's open batch and schedules its execution. The
 // caller holds s.mu.
-func (s *Server) flushLocked(q *httpQueue) {
-	if len(q.pending) == 0 {
+func (s *Server) flushLocked(q *queue[*httpReq]) {
+	batch := s.flush(q)
+	if batch == nil {
 		return
 	}
-	batch := q.pending
-	q.pending = nil
-	s.metrics.Inc(telemetry.Labeled("aitax_serve_batches_total", "model", q.model.Name))
-	s.metrics.Observe(telemetry.Labeled("aitax_serve_batch_size", "model", q.model.Name), float64(len(batch)))
+	at := s.now()
+	for _, hr := range batch {
+		hr.flushed = at
+	}
 	s.wg.Add(1)
 	go s.execute(q, batch)
 }
 
 // execute runs one batch on an executor slot: a lab job measuring the
 // batch on a fresh simulated stack (plans cached process-wide).
-func (s *Server) execute(q *httpQueue, batch []*httpReq) {
+func (s *Server) execute(q *queue[*httpReq], batch []*httpReq) {
 	defer s.wg.Done()
 	s.sem <- struct{}{}
 	defer func() { <-s.sem }()
 
-	start := time.Now()
-	// Brownout rung 3 and DVFS: decide steering and sample the throttle
-	// at pickup, under the same mutex the controller ticks under.
-	cfg := s.cfg
-	steered := false
-	factor := 1.0
-	s.mu.Lock()
-	q.queued -= len(batch)
-	if s.qs != nil {
-		if s.qs.ctl.Steer() {
-			steered = true
-			cfg.Delegate = s.cfg.QoS.SteerDelegate
-			s.qs.deg.SteeredBatches++
-		} else {
-			factor = s.qs.therm.ThrottleFactor()
-			if factor < 1 {
-				s.qs.deg.ThrottledBatches++
-			}
-			s.hot++
-		}
-	}
-	s.mu.Unlock()
-	if steered {
-		s.metrics.Inc("aitax_qos_steered_batches_total")
-	} else if factor < 1 {
-		s.metrics.Inc("aitax_qos_throttled_batches_total")
-	}
-
 	k := len(batch)
+	s.mu.Lock()
+	started := s.now()
+	steered, factor := s.pickup(q, k, started)
+	s.mu.Unlock()
+	cfg := s.cfg
+	if steered {
+		cfg.Delegate = s.cfg.QoS.SteerDelegate
+	}
 	results := s.lab.Run(context.Background(), []lab.Job{{
 		ID: fmt.Sprintf("%s/b%d", q.model.Name, k),
 		Run: func(ctx context.Context) (any, error) {
 			return MeasureBatch(ctx, cfg, q.model, k)
 		},
 	}})
-	if !steered && s.qs != nil {
+	if s.qs != nil {
 		s.mu.Lock()
-		s.hot--
+		s.release(steered, s.now())
 		s.mu.Unlock()
 	}
 	res := results[0]
 	var cost BatchCost
 	if res.Err == nil {
-		cost = res.Value.(BatchCost)
-		if factor < 1 {
-			// The hot die runs the batch slower; the stretch is thermal
-			// tax every rider's latency carries.
-			cost.Service = time.Duration(float64(cost.Service) / factor)
-		}
+		cost = throttled(res.Value.(BatchCost), factor)
 		s.metrics.Observe(telemetry.Labeled("aitax_serve_service_ms", "model", q.model.Name),
 			ms(s.cfg.DispatchCost+cost.Service))
 	}
 	for _, hr := range batch {
-		hr.ch <- httpDone{batch: k, wait: start.Sub(hr.enq), cost: cost, err: res.Err}
-	}
-}
-
-// recordServed feeds one completed request into the streaming recorder
-// under the shared series-name contract, and scores it against the
-// configured SLOs. Latency is the client's composite view: wall-clock
-// queueing on this host plus the batch's virtual execution on the
-// simulated SoC.
-func (s *Server) recordServed(model string, done httpDone) {
-	at := s.now()
-	k := time.Duration(done.batch)
-	lat := done.wait + s.cfg.DispatchCost + done.cost.Service
-	o := Outcome{
-		Model:     model,
-		BatchSize: done.batch,
-		Infer:     done.cost.Infer / k,
-		Pre:       done.cost.Pre / k,
-		Post:      done.cost.Post / k,
-		RPC:       done.cost.RPC / k,
-		Exec:      done.cost.Exec / k,
-	}
-	latMS := ms(lat)
-	for _, m := range []string{model, obs.AllModels} {
-		s.rec.Add(at, obs.ServedSeries(m), 1)
-		s.rec.Observe(at, obs.LatencySeries(m), latMS)
-		s.rec.Observe(at, obs.BatchSeries(m), float64(done.batch))
-		s.rec.Observe(at, obs.BatchWaitSeries(m), ms(done.wait))
-	}
-	s.rec.Add(at, obs.StageSeries("pre"), ms(o.Pre))
-	s.rec.Add(at, obs.StageSeries("framework"), ms(o.Framework()))
-	s.rec.Add(at, obs.StageSeries("rpc"), ms(o.RPC))
-	s.rec.Add(at, obs.StageSeries("infer"), ms(o.KernelExec()))
-	s.rec.Add(at, obs.StageSeries("post"), ms(o.Post))
-	anyCovered, anyBreached := false, false
-	for _, obj := range s.cfg.SLO {
-		covered, breached := obj.Match(model, lat, false)
-		if !covered {
-			continue
-		}
-		anyCovered = true
-		if breached {
-			anyBreached = true
-			s.rec.Add(at, obs.BadSeries(obj), 1)
-		} else {
-			s.rec.Add(at, obs.GoodSeries(obj), 1)
-		}
-	}
-	if s.qs != nil && anyCovered {
-		s.mu.Lock()
-		if anyBreached {
-			s.qs.ctl.ObserveBad()
-		} else {
-			s.qs.ctl.ObserveGood()
-		}
-		s.mu.Unlock()
+		hr.ch <- httpDone{started: started, cost: cost, err: res.Err}
 	}
 }
 

@@ -224,7 +224,7 @@ func TestHTTPCancelledRequestLeavesQueue(t *testing.T) {
 	// freed, window timer stopped, and it counts as cancelled.
 	for {
 		srv.mu.Lock()
-		queued, pending, timer := q.queued, len(q.pending), q.timer
+		queued, pending, timer := q.queued, len(q.pending), q.stopWindow
 		srv.mu.Unlock()
 		if queued == 0 && pending == 0 && timer == nil {
 			break
@@ -242,5 +242,45 @@ func TestHTTPCancelledRequestLeavesQueue(t *testing.T) {
 			t.Fatal("cancelled counter never incremented")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// A shed request burns the SLO budget of every objective covering its
+// model, in the live server exactly as in the simulator's replay.
+func TestHTTPShedBurnsSLOBudget(t *testing.T) {
+	obj := obs.Objective{Model: "MobileNet 1.0 v1", Latency: 300 * time.Millisecond, Target: 0.95}
+	srv, ts := newTestServer(t, func(c *Config) {
+		c.Models = DefaultModels()[:1]
+		qosServerConfig(c, t)
+		c.SLO = []obs.Objective{obj}
+	})
+	forceLevel(t, srv, 1)
+	resp, out := postJSON(t, ts.URL+"/v1/classify", `{"class":"best-effort"}`)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("status %d, want 503: %v", resp.StatusCode, out)
+	}
+	shed := srv.rec.SumCounter(obs.ShedSeries("MobileNet 1.0 v1"), 64)
+	bad := srv.rec.SumCounter(obs.BadSeries(obj), 64)
+	if shed != 1 || bad != 1 {
+		t.Fatalf("recorder after one shed request: shed=%v bad=%v, want 1 and 1", shed, bad)
+	}
+}
+
+// The thermal model's utilization input is the hot delegate's busy-time
+// integral, so a batch that starts and ends between two ticks still
+// heats the die.
+func TestHTTPShortBatchMovesBusyIntegral(t *testing.T) {
+	srv, ts := newTestServer(t, func(c *Config) {
+		c.Models = DefaultModels()[:1]
+		qosServerConfig(c, t) // hour-long tick: no decision runs
+	})
+	if resp, out := postJSON(t, ts.URL+"/v1/classify", `{}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %v", resp.StatusCode, out)
+	}
+	srv.mu.Lock()
+	busy, hot := srv.qs.busyInt, srv.qs.hot
+	srv.mu.Unlock()
+	if busy <= 0 || hot != 0 {
+		t.Fatalf("after one batch: busy integral %v, hot batches %d; want > 0 and 0", busy, hot)
 	}
 }

@@ -106,61 +106,53 @@ func BuildSimObs(cfg Config, res *SimResult, window time.Duration, objectives []
 		o := res.Outcomes[ev.idx]
 		switch ev.kind {
 		case evArrive:
-			rec.Add(ev.at, obs.OfferedSeries(o.Model), 1)
-			rec.Add(ev.at, obs.OfferedSeries(obs.AllModels), 1)
+			recordOffered(rec, ev.at, o.Model)
 			depth[o.Model]++
 			depthAll++
 			rec.Observe(ev.at, obs.DepthSeries(o.Model), float64(depth[o.Model]))
 			rec.Observe(ev.at, obs.DepthSeries(obs.AllModels), float64(depthAll))
-		case evReject:
-			rec.Add(ev.at, obs.OfferedSeries(o.Model), 1)
-			rec.Add(ev.at, obs.OfferedSeries(obs.AllModels), 1)
-			rec.Add(ev.at, obs.RejectedSeries(o.Model), 1)
-			rec.Add(ev.at, obs.RejectedSeries(obs.AllModels), 1)
-			for _, obj := range objectives {
-				if covered, _ := obj.Match(o.Model, 0, true); covered {
-					rec.Add(ev.at, obs.BadSeries(obj), 1)
-				}
-			}
-		case evShed:
-			// A shed request was offered and turned away on purpose; it
-			// still burns any objective covering its model — shedding is
-			// honest about the traffic it sacrifices.
-			rec.Add(ev.at, obs.OfferedSeries(o.Model), 1)
-			rec.Add(ev.at, obs.OfferedSeries(obs.AllModels), 1)
-			rec.Add(ev.at, obs.ShedSeries(o.Model), 1)
-			rec.Add(ev.at, obs.ShedSeries(obs.AllModels), 1)
-			for _, obj := range objectives {
-				if covered, _ := obj.Match(o.Model, 0, true); covered {
-					rec.Add(ev.at, obs.BadSeries(obj), 1)
-				}
-			}
+		case evReject, evShed:
+			recordOffered(rec, ev.at, o.Model)
+			recordTurnedAway(rec, ev.at, o.Model, o.Shed, objectives)
 		case evStart:
 			depth[o.Model]--
 			depthAll--
 		case evFinish:
-			recordServed(rec, o, ev.at)
-			for _, obj := range objectives {
-				covered, breached := obj.Match(o.Model, o.Latency(), false)
-				if !covered {
-					continue
-				}
-				if breached {
-					rec.Add(ev.at, obs.BadSeries(obj), 1)
-				} else {
-					rec.Add(ev.at, obs.GoodSeries(obj), 1)
-				}
-			}
+			recordServed(rec, o, ev.at, objectives)
 		}
 	}
 	rec.Flush()
 	return so
 }
 
+// recordOffered counts one arrival under the shared series-name
+// contract. This and the two record functions below are the single
+// write path both harnesses feed the streaming recorder through.
+func recordOffered(rec *obs.Recorder, at time.Duration, model string) {
+	rec.Add(at, obs.OfferedSeries(model), 1)
+	rec.Add(at, obs.OfferedSeries(obs.AllModels), 1)
+}
+
+// recordTurnedAway counts one shed or rejected arrival. Either way it
+// burns every objective covering its model — shedding is honest about
+// the traffic it sacrifices.
+func recordTurnedAway(rec *obs.Recorder, at time.Duration, model string, wasShed bool, objectives []obs.Objective) {
+	series := obs.RejectedSeries
+	if wasShed {
+		series = obs.ShedSeries
+	}
+	rec.Add(at, series(model), 1)
+	rec.Add(at, series(obs.AllModels), 1)
+	for _, obj := range objectives {
+		if covered, _ := obj.Match(model, 0, true); covered {
+			rec.Add(at, obs.BadSeries(obj), 1)
+		}
+	}
+}
+
 // recordServed records one completed request's latency, batching and
-// Table-III stage anatomy under the shared series-name contract — the
-// single write path both harnesses use.
-func recordServed(rec *obs.Recorder, o Outcome, at time.Duration) {
+// Table-III stage anatomy, and scores it against the objectives.
+func recordServed(rec *obs.Recorder, o Outcome, at time.Duration, objectives []obs.Objective) {
 	latMS := ms(o.Latency())
 	for _, m := range []string{o.Model, obs.AllModels} {
 		rec.Add(at, obs.ServedSeries(m), 1)
@@ -174,6 +166,16 @@ func recordServed(rec *obs.Recorder, o Outcome, at time.Duration) {
 	rec.Add(at, obs.StageSeries("rpc"), ms(o.RPC))
 	rec.Add(at, obs.StageSeries("infer"), ms(o.KernelExec()))
 	rec.Add(at, obs.StageSeries("post"), ms(o.Post))
+	for _, obj := range objectives {
+		covered, breached := obj.Match(o.Model, o.Latency(), false)
+		switch {
+		case !covered:
+		case breached:
+			rec.Add(at, obs.BadSeries(obj), 1)
+		default:
+			rec.Add(at, obs.GoodSeries(obj), 1)
+		}
+	}
 }
 
 // Snapshot renders the end-of-run -watch dashboard: the exact text a

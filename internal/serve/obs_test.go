@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
@@ -208,5 +209,31 @@ func TestHTTPWatchRendersLiveTraffic(t *testing.T) {
 		if !strings.Contains(watch, want) {
 			t.Fatalf("watch output missing %q:\n%s", want, watch)
 		}
+	}
+}
+
+// The live server splits a request's queueing into batch wait (enqueue
+// to flush) and dispatch wait (flush to executor pickup), and tracks
+// the all-model queue depth — the same series the simulator's replay
+// writes, so the -watch dashboard's columns fill in either harness.
+func TestHTTPRecordsBatchAndDispatchWait(t *testing.T) {
+	srv, ts := newTestServer(t, func(c *Config) { c.BatchWindow = 20 * time.Millisecond })
+	resp, out := postJSON(t, ts.URL+"/v1/classify", `{}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %v", resp.StatusCode, out)
+	}
+	const model = "MobileNet 1.0 v1"
+	bw := srv.rec.MergedHist(obs.BatchWaitSeries(model), 64)
+	dw := srv.rec.MergedHist(obs.DispatchWaitSeries(model), 64)
+	depth := srv.rec.MergedHist(obs.DepthSeries(obs.AllModels), 64)
+	if bw.Count() != 1 || dw.Count() != 1 || depth.Count() != 1 {
+		t.Fatalf("series counts: batch wait %d, dispatch wait %d, depth{all} %d; want 1 each",
+			bw.Count(), dw.Count(), depth.Count())
+	}
+	if bw.Sum() < 15 {
+		t.Fatalf("batch wait %.3fms, want about the 20ms window", bw.Sum())
+	}
+	if queue := out["queue_ms"].(float64); math.Abs(bw.Sum()+dw.Sum()-queue) > 1e-6 {
+		t.Fatalf("batch wait %.6f + dispatch wait %.6f != queue_ms %.6f", bw.Sum(), dw.Sum(), queue)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"aitax/internal/qos"
-	"aitax/internal/sim"
 	"aitax/internal/tflite"
 	"aitax/internal/thermal"
 )
@@ -187,9 +186,10 @@ func (d *Degradation) Recovered() bool {
 }
 
 // qosState is one run's brownout state: the controller, its private
-// clone of the thermal model, the latched trip, and the accounting the
-// report renders. The simulator drives it on virtual time; the HTTP
-// frontend drives it under the server mutex on wall clock.
+// clone of the thermal model, the latched trip, the busy-time integral
+// the thermal model heats from, and the accounting the report renders.
+// The serving policy drives it on the harness's clock (virtual time in
+// the simulator, wall clock since start in the HTTP frontend).
 type qosState struct {
 	pol     *QoSPolicy
 	ctl     *qos.Controller
@@ -197,14 +197,12 @@ type qosState struct {
 	tripped bool
 	deg     Degradation
 
-	// Virtual-time busy integral (simulator only): hot counts executing
-	// batches on the configured (heat-producing) delegate.
-	hot       int
-	lastBusy  sim.Time
-	busyInt   time.Duration
-	lastTick  sim.Time
-	tickID    sim.EventID
-	tickArmed bool
+	// hot counts executing batches on the configured (heat-producing)
+	// delegate; busyInt integrates it over time since the last tick.
+	hot      int
+	lastBusy time.Duration
+	busyInt  time.Duration
+	lastTick time.Duration
 }
 
 // newQOSState builds a run's controller and thermal clone from the
@@ -218,6 +216,14 @@ func newQOSState(cfg Config) (*qosState, error) {
 		ctl.Freeze()
 	}
 	return &qosState{pol: cfg.QoS, ctl: ctl, therm: cfg.QoS.Thermal.Clone()}, nil
+}
+
+// accrue integrates the hot-delegate busy level up to now.
+func (qs *qosState) accrue(now time.Duration) {
+	if dt := now - qs.lastBusy; dt > 0 {
+		qs.busyInt += time.Duration(qs.hot) * dt
+	}
+	qs.lastBusy = now
 }
 
 // step advances the thermal model by dt at the given utilization,
@@ -262,12 +268,6 @@ func (qs *qosState) finish() *Degradation {
 	return &d
 }
 
-// classAgg is one QoS class's row in the per-class latency table.
-type classAgg struct {
-	offered, served, shed, rejected int
-	latencies                       []time.Duration
-}
-
 // writeDegradation renders the "degradation anatomy" report section:
 // the ladder timeline, every action's count, and the thermal
 // trajectory — the brownout controller's own AI-tax bill.
@@ -298,25 +298,15 @@ func (r *SimResult) writeDegradation(b *strings.Builder, cfg Config) {
 		}
 	}
 
-	agg := make([]classAgg, qos.NumClasses)
+	agg := make([]modelAgg, qos.NumClasses)
 	for _, o := range r.Outcomes {
-		a := &agg[o.Class]
-		a.offered++
-		switch {
-		case o.Shed:
-			a.shed++
-		case o.Rejected:
-			a.rejected++
-		default:
-			a.served++
-			a.latencies = append(a.latencies, o.Latency())
-		}
+		agg[o.Class].add(o)
 	}
 	fmt.Fprintf(b, "\nper-class latency (virtual ms)\n")
 	fmt.Fprintf(b, "%-13s %8s %8s %8s %9s %8s %8s\n",
 		"class", "offered", "served", "shed", "rejected", "p50", "p99")
-	for c := 0; c < qos.NumClasses; c++ {
-		a := agg[c]
+	for c := range agg {
+		a := &agg[c]
 		sort.Slice(a.latencies, func(i, j int) bool { return a.latencies[i] < a.latencies[j] })
 		fmt.Fprintf(b, "%-13s %8d %8d %8d %9d %8.3f %8.3f\n",
 			qos.Class(c).String(), a.offered, a.served, a.shed, a.rejected,

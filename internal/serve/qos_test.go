@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -85,6 +87,32 @@ func TestParseDownshift(t *testing.T) {
 			t.Errorf("ParseDownshift(%q) succeeded, want error", bad)
 		}
 	}
+}
+
+// FuzzParseDownshift drives the -downshift flag parser: it must never
+// panic, and an accepted map, re-joined as FROM=TO pairs, parses back
+// to itself.
+func FuzzParseDownshift(f *testing.F) {
+	f.Add("EfficientNet-Lite0=MobileNet 1.0 v1")
+	f.Add("A=B, C = D")
+	f.Add("A=B=C")
+	f.Add("A=B,A=C")
+	f.Fuzz(func(t *testing.T, spec string) {
+		m, err := ParseDownshift(spec)
+		if err != nil {
+			return
+		}
+		pairs := make([]string, 0, len(m))
+		for from, to := range m {
+			pairs = append(pairs, from+"="+to)
+		}
+		sort.Strings(pairs)
+		joined := strings.Join(pairs, ",")
+		back, err := ParseDownshift(joined)
+		if err != nil || !reflect.DeepEqual(back, m) {
+			t.Fatalf("ParseDownshift(%q) = %v, but its re-join %q parses to %v, %v", spec, m, joined, back, err)
+		}
+	})
 }
 
 func TestValidateQoSPolicy(t *testing.T) {

@@ -4,7 +4,11 @@
 // (a batch window capped at a maximum batch size), and executes batches
 // on a bounded pool of model executors built from the simulated stack.
 //
-// The same queueing policy runs in two harnesses:
+// One serving policy — admission control, batch formation, the
+// brownout controller's actions (shed, downshift, steer, throttle) and
+// its inputs (SLO verdicts, queue occupancy, the hot delegate's
+// busy-time integral) — is implemented once, clock-free, and driven by
+// two harnesses:
 //
 //   - a wall-clock HTTP frontend ([Server]) for interactive use, and
 //   - a virtual-time discrete-event simulator ([Simulate]) driven by
@@ -14,8 +18,9 @@
 // Serving adds its own AI tax on top of the per-frame pipeline tax:
 // batch-formation wait (the window), dispatch wait (all executors
 // busy), and the per-dispatch overhead amortized across the batch.
-// Both harnesses account these explicitly so the serving tax is
-// visible next to the pipeline's own.
+// Both harnesses account these through one write path into the
+// streaming recorder, so the serving tax is visible next to the
+// pipeline's own and means the same thing in either.
 package serve
 
 import (

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -223,5 +224,26 @@ func TestSimulateRejectsUnknownArrivalModel(t *testing.T) {
 	_, err := Simulate(cfg, table, at("No Such Model", 0), false)
 	if err == nil {
 		t.Fatal("Simulate accepted an arrival for an unloaded model")
+	}
+}
+
+// A cost table that does not price every batch the config can form is
+// an error up front, never a panic mid-run.
+func TestSimulateRejectsUncoveredCostTable(t *testing.T) {
+	cfg := testConfig(t)
+	small := cfg
+	small.MaxBatch = 2
+	burst := at(cfg.Models[0].Name, 0, 0, 0, 0) // one full batch of 4
+	if _, err := Simulate(cfg, buildTable(t, small, 0), burst, false); !errors.Is(err, ErrCostTableGap) {
+		t.Fatalf("table built at max batch 2, simulated at 4: err %v, want ErrCostTableGap", err)
+	}
+	qcfg := qosConfig(t).Defaults()
+	plain := qcfg
+	plain.QoS = nil
+	if _, err := Simulate(qcfg, buildTable(t, plain, 0), at(qcfg.Models[0].Name, 0), false); !errors.Is(err, ErrCostTableGap) {
+		t.Fatalf("QoS config priced without a steer grid: err %v, want ErrCostTableGap", err)
+	}
+	if _, err := Simulate(cfg, nil, nil, false); !errors.Is(err, ErrCostTableGap) {
+		t.Fatalf("nil table: err %v, want ErrCostTableGap", err)
 	}
 }

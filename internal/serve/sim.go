@@ -11,9 +11,10 @@ import (
 	"aitax/internal/telemetry"
 )
 
-// Outcome is one request's fate in the virtual-time simulation. All
-// times are on the simulation clock; a rejected request has only
-// Arrival set and everything else zero.
+// Outcome is one request's fate. All times are on the harness's clock
+// (virtual time in the simulator, wall clock since start in the HTTP
+// frontend); a rejected request has only Arrival set and everything
+// else zero.
 type Outcome struct {
 	ID    int
 	Model string
@@ -51,6 +52,19 @@ type Outcome struct {
 	Post time.Duration
 	RPC  time.Duration
 	Exec time.Duration
+}
+
+// charge gives the request its share of its batch's cost and of the
+// per-dispatch overhead.
+func (o *Outcome) charge(cost BatchCost, dispatch time.Duration) {
+	n := time.Duration(cost.Batch)
+	o.BatchSize = cost.Batch
+	o.Infer = cost.Infer / n
+	o.ComputeTax = (cost.Tax + dispatch) / n
+	o.Pre = cost.Pre / n
+	o.Post = cost.Post / n
+	o.RPC = cost.RPC / n
+	o.Exec = cost.Exec / n
 }
 
 // Framework is the inference-stage time not attributed to FastRPC
@@ -126,18 +140,6 @@ type SimResult struct {
 	Degradation *Degradation
 }
 
-// simQueue is one model's serving state inside the simulator.
-type simQueue struct {
-	name    string
-	pending []*simReq
-	window  sim.EventID
-	armed   bool
-	// queued counts admitted requests not yet in service — the
-	// admission-control quantity.
-	queued  int
-	batches int
-}
-
 type simReq struct {
 	out  Outcome
 	span *telemetry.ActiveSpan
@@ -145,7 +147,7 @@ type simReq struct {
 }
 
 type simBatch struct {
-	q    *simQueue
+	q    *queue[*simReq]
 	reqs []*simReq
 }
 
@@ -153,56 +155,48 @@ type simBatch struct {
 // single-threaded on one virtual clock, so one seed produces one
 // history regardless of host parallelism.
 type simulator struct {
-	cfg     Config
-	table   *CostTable
-	eng     *sim.Engine
-	tracer  *telemetry.Tracer
-	metrics *telemetry.Registry
-	queues  map[string]*simQueue
-	order   []*simQueue
-	ready   []*simBatch // flushed batches awaiting an executor, FIFO
-	free    int         // idle executors
-	depth   []DepthSample
-	traced  bool
-	// qs is the brownout state (nil without a QoS policy); remaining
-	// counts arrivals not yet resolved and active the batches in
-	// service — together they bound the controller's self-rescheduling
-	// decision tick so the event queue drains.
-	qs        *qosState
+	policy[*simReq]
+	table  *CostTable
+	eng    *sim.Engine
+	tracer *telemetry.Tracer
+	ready  []*simBatch // flushed batches awaiting an executor, FIFO
+	free   int         // idle executors
+	depth  []DepthSample
+	traced bool
+	// remaining counts arrivals not yet resolved and active the batches
+	// in service — together they bound the controller's self-
+	// rescheduling decision tick so the event queue drains.
 	remaining int
 	active    int
+	tickID    sim.EventID
+	tickArmed bool
 }
 
 // Simulate replays the arrival schedule against the serving policy in
 // virtual time, pricing batches from the cost table. With traced set it
-// additionally records per-request spans and queue-depth samples.
+// additionally records per-request spans and queue-depth samples. A
+// table that does not price every batch the config can form is an
+// ErrCostTableGap.
 func Simulate(cfg Config, table *CostTable, arrivals []loadgen.Arrival, traced bool) (*SimResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if err := table.covers(cfg); err != nil {
+		return nil, err
+	}
+	pol, err := newPolicy[*simReq](cfg, telemetry.NewRegistry())
+	if err != nil {
+		return nil, err
+	}
 	s := &simulator{
-		cfg:     cfg,
-		table:   table,
-		eng:     sim.NewEngine(),
-		metrics: telemetry.NewRegistry(),
-		queues:  make(map[string]*simQueue),
-		free:    cfg.Workers,
-		traced:  traced,
+		policy: pol,
+		table:  table,
+		eng:    sim.NewEngine(),
+		free:   cfg.Workers,
+		traced: traced,
 	}
 	if traced {
 		s.tracer = telemetry.NewTracer(s.eng.Now)
-	}
-	if cfg.QoS != nil {
-		qs, err := newQOSState(cfg)
-		if err != nil {
-			return nil, err
-		}
-		s.qs = qs
-	}
-	for _, m := range cfg.Models {
-		q := &simQueue{name: m.Name}
-		s.queues[m.Name] = q
-		s.order = append(s.order, q)
 	}
 	reqs := make([]*simReq, len(arrivals))
 	for i, a := range arrivals {
@@ -233,7 +227,7 @@ func Simulate(cfg Config, table *CostTable, arrivals []loadgen.Arrival, traced b
 		res.Outcomes[i] = r.out
 	}
 	for _, q := range s.order {
-		res.Batches = append(res.Batches, ModelBatches{Model: q.name, Batches: q.batches})
+		res.Batches = append(res.Batches, ModelBatches{Model: q.model.Name, Batches: q.batches})
 	}
 	if s.tracer != nil {
 		res.Spans, res.Flows = s.tracer.Spans(), s.tracer.Flows()
@@ -246,205 +240,107 @@ func Simulate(cfg Config, table *CostTable, arrivals []loadgen.Arrival, traced b
 
 // armTick schedules the next brownout decision.
 func (s *simulator) armTick() {
-	s.qs.tickArmed = true
-	s.qs.tickID = s.eng.After(s.qs.ctl.Ladder().Tick, s.qosTick)
+	s.tickArmed = true
+	s.tickID = s.eng.After(s.qs.ctl.Ladder().Tick, s.qosTick)
 }
 
-// maybeDisarmTick cancels the pending decision tick once no work
-// remains, so the engine's queue drains — the simulation ends at the
-// last request's completion, not at some later tick.
-func (s *simulator) maybeDisarmTick() {
-	if s.qs != nil && s.qs.tickArmed && s.remaining == 0 && s.active == 0 {
-		s.eng.Cancel(s.qs.tickID)
-		s.qs.tickArmed = false
+// resolve retires n arrivals. Once no work remains it cancels the
+// pending decision tick, so the engine's queue drains — the simulation
+// ends at the last request's completion, not at some later tick.
+func (s *simulator) resolve(n int) {
+	s.remaining -= n
+	if s.tickArmed && s.remaining == 0 && s.active == 0 {
+		s.eng.Cancel(s.tickID)
+		s.tickArmed = false
 	}
-}
-
-// accrueBusy integrates the hot-delegate busy level up to now, for the
-// thermal model's utilization input.
-func (s *simulator) accrueBusy(now sim.Time) {
-	dt := now.Sub(s.qs.lastBusy)
-	if dt > 0 {
-		s.qs.busyInt += time.Duration(s.qs.hot) * dt
-	}
-	s.qs.lastBusy = now
-}
-
-// queueFrac is the fullest admission queue's occupancy in [0, 1].
-func (s *simulator) queueFrac() float64 {
-	max := 0
-	for _, q := range s.order {
-		if q.queued > max {
-			max = q.queued
-		}
-	}
-	return float64(max) / float64(s.cfg.QueueDepth)
 }
 
 // qosTick runs one brownout decision on the virtual clock.
 func (s *simulator) qosTick() {
-	qs := s.qs
-	qs.tickArmed = false
+	s.tickArmed = false
 	now := s.eng.Now()
-	dt := now.Sub(qs.lastTick)
-	qs.lastTick = now
-	s.accrueBusy(now)
-	util := 0.0
-	if dt > 0 {
-		util = float64(qs.busyInt) / (float64(dt) * float64(s.cfg.Workers))
-	}
-	qs.busyInt = 0
-	faultTrip := s.cfg.Faults.ThermalTripAt > 0 && now.Duration() >= s.cfg.Faults.ThermalTripAt
-	t := qs.step(now.Duration(), dt, util, s.queueFrac(), faultTrip)
-	s.metrics.Set("aitax_qos_level", float64(t.Level))
-	s.metrics.Set("aitax_qos_temp_c", qs.therm.TempC())
-	if t.Changed {
-		s.metrics.Inc("aitax_qos_transitions_total")
-		if s.tracer != nil {
-			sp := s.tracer.Instant(fmt.Sprintf("qos L%d->L%d", t.From, t.Level), "qos", telemetry.TrackCPU, nil, now)
-			sp.SetAttr("driver", t.Driver)
-			sp.SetAttr("pressure", fmt.Sprintf("%.2f", t.Pressure))
-		}
+	t := s.tick(now.Duration())
+	if t.Changed && s.tracer != nil {
+		sp := s.tracer.Instant(fmt.Sprintf("qos L%d->L%d", t.From, t.Level), "qos", telemetry.TrackCPU, nil, now)
+		sp.SetAttr("driver", t.Driver)
+		sp.SetAttr("pressure", fmt.Sprintf("%.2f", t.Pressure))
 	}
 	if s.remaining > 0 || s.active > 0 {
 		s.armTick()
 	}
 }
 
-func (s *simulator) sampleDepth(q *simQueue) {
+func (s *simulator) sampleDepth(q *queue[*simReq]) {
 	if s.traced {
-		s.depth = append(s.depth, DepthSample{Model: q.name, At: s.eng.Now(), Depth: q.queued})
+		s.depth = append(s.depth, DepthSample{Model: q.model.Name, At: s.eng.Now(), Depth: q.queued})
 	}
 }
 
-// arrive runs admission control and batch formation for one request.
+// arrive runs one request through admission and batch formation.
 func (s *simulator) arrive(r *simReq) {
 	name := r.out.Model
 	now := s.eng.Now()
 	r.out.Arrival = now
-	s.metrics.Inc(telemetry.Labeled("aitax_serve_requests_total", "model", name))
-	// Brownout rung 1: shed best-effort traffic at admission. Shed
-	// outcomes are not fed back into the controller's burn signal — its
-	// own action must not hold its pressure up.
-	if s.qs != nil && s.qs.ctl.Shed(r.out.Class) {
+	v, q, trig := s.admit(r, name, r.out.Class)
+	if q != nil && q.model.Name != name {
+		r.out.ServedAs = q.model.Name
+	}
+	switch v {
+	case shed:
 		r.out.Shed = true
-		s.qs.deg.Shed[r.out.Class]++
-		s.metrics.Inc(telemetry.Labeled("aitax_qos_shed_total", "class", r.out.Class.String()))
 		if s.tracer != nil {
 			sp := s.tracer.Instant("shed", "qos", telemetry.TrackCPU, nil, now)
 			sp.SetAttr("model", name)
 			sp.SetAttr("class", r.out.Class.String())
 			sp.SetAttr("request", strconv.Itoa(r.out.ID))
 		}
-		s.remaining--
-		s.maybeDisarmTick()
+		s.resolve(1)
 		return
-	}
-	// Brownout rung 2: rewrite the request onto its cheaper fallback
-	// model's queue; it batches, prices and serves as that model.
-	q := s.queues[name]
-	if s.qs != nil && s.qs.ctl.Downshift() {
-		if to, ok := s.cfg.QoS.Downshift[name]; ok {
-			r.out.ServedAs = to
-			q = s.queues[to]
-			s.qs.deg.Downshifted++
-			s.metrics.Inc(telemetry.Labeled("aitax_qos_downshift_total", "model", name))
-		}
-	}
-	if q.queued >= s.cfg.QueueDepth {
+	case rejected:
 		r.out.Rejected = true
-		s.metrics.Inc(telemetry.Labeled("aitax_serve_rejected_total", "model", name))
-		if s.qs != nil && s.sloCovers(name) {
-			s.qs.ctl.ObserveBad()
-		}
 		if s.tracer != nil {
 			sp := s.tracer.Instant("reject", "serve", telemetry.TrackCPU, nil, now)
 			sp.SetAttr("model", name)
 			sp.SetAttr("request", strconv.Itoa(r.out.ID))
 		}
-		s.remaining--
-		s.maybeDisarmTick()
+		s.resolve(1)
 		return
 	}
-	q.queued++
 	s.sampleDepth(q)
 	if s.tracer != nil {
 		r.span = s.tracer.Start("request", "serve", telemetry.TrackCPU, nil)
-		r.span.SetAttr("model", q.name)
+		r.span.SetAttr("model", q.model.Name)
 		r.span.SetAttr("request", strconv.Itoa(r.out.ID))
 		r.wait = s.tracer.Start("queued", "serve", telemetry.TrackCPU, r.span)
 	}
-	q.pending = append(q.pending, r)
-	switch {
-	case len(q.pending) >= s.cfg.MaxBatch:
-		// Full batch: flush now, the window (if armed) is moot.
-		if q.armed {
-			s.eng.Cancel(q.window)
-			q.armed = false
-		}
-		s.flush(q)
-	case s.cfg.BatchWindow == 0:
-		s.flush(q)
-	case len(q.pending) == 1:
-		// First rider opens the window.
-		q.window = s.eng.After(s.cfg.BatchWindow, func() {
-			q.armed = false
-			s.flush(q)
+	switch trig {
+	case flushNow:
+		s.closeBatch(q)
+	case openWindow:
+		id := s.eng.After(s.cfg.BatchWindow, func() {
+			q.stopWindow = nil
+			s.closeBatch(q)
 		})
-		q.armed = true
+		q.stopWindow = func() { s.eng.Cancel(id) }
 	}
 }
 
-// sloCovers reports whether any configured objective covers model.
-func (s *simulator) sloCovers(model string) bool {
-	for _, obj := range s.cfg.SLO {
-		if covered, _ := obj.Match(model, 0, true); covered {
-			return true
-		}
-	}
-	return false
-}
-
-// observeOutcome feeds one served request's SLO verdict into the
-// controller's burn signal, scored against the model the client asked
-// for (a downshifted request that meets the requested model's objective
-// is a good outcome — that is the point of downshifting).
-func (s *simulator) observeOutcome(model string, latency time.Duration) {
-	covered, breached := false, false
-	for _, obj := range s.cfg.SLO {
-		c, b := obj.Match(model, latency, false)
-		covered = covered || c
-		breached = breached || b
-	}
-	if !covered {
-		return
-	}
-	if breached {
-		s.qs.ctl.ObserveBad()
-	} else {
-		s.qs.ctl.ObserveGood()
-	}
-}
-
-// flush closes the open batch and hands it to the executor pool.
-func (s *simulator) flush(q *simQueue) {
-	if len(q.pending) == 0 {
+// closeBatch flushes q's open batch and hands it to the executor pool.
+func (s *simulator) closeBatch(q *queue[*simReq]) {
+	reqs := s.flush(q)
+	if reqs == nil {
 		return
 	}
 	now := s.eng.Now()
-	b := &simBatch{q: q, reqs: q.pending}
-	q.pending = nil
-	q.batches++
-	for _, r := range b.reqs {
+	for _, r := range reqs {
 		r.out.Flushed = now
 	}
-	s.metrics.Inc(telemetry.Labeled("aitax_serve_batches_total", "model", q.name))
-	s.metrics.Observe(telemetry.Labeled("aitax_serve_batch_size", "model", q.name), float64(len(b.reqs)))
-	s.ready = append(s.ready, b)
+	s.ready = append(s.ready, &simBatch{q: q, reqs: reqs})
 	s.dispatch()
 }
 
-// dispatch starts ready batches on idle executors, FIFO.
+// dispatch starts ready batches on idle executors, FIFO. A steered
+// batch is priced from the steer cost table and escapes the throttle.
 func (s *simulator) dispatch() {
 	for s.free > 0 && len(s.ready) > 0 {
 		b := s.ready[0]
@@ -453,35 +349,18 @@ func (s *simulator) dispatch() {
 		s.active++
 		now := s.eng.Now()
 		k := len(b.reqs)
-		// Brownout rung 3: steer the batch off the hot delegate. A
-		// steered batch is priced from the steer cost table, does not
-		// heat the die, and escapes DVFS throttling; a non-steered batch
-		// on a hot die is stretched by the throttle factor — that
-		// stretch lands in every rider's latency, and therefore in its
-		// tax (DVFS is AI tax the thermal model charges).
-		steered := s.qs != nil && s.qs.ctl.Steer()
+		steered, factor := s.pickup(b.q, k, now.Duration())
 		var cost BatchCost
 		if steered {
-			cost = s.table.SteerCost(b.q.name, k)
-			s.qs.deg.SteeredBatches++
-			s.metrics.Inc("aitax_qos_steered_batches_total")
+			cost = s.table.SteerCost(b.q.model.Name, k)
 		} else {
-			cost = s.table.Cost(b.q.name, k)
+			cost = s.table.Cost(b.q.model.Name, k)
 		}
-		service := s.cfg.DispatchCost + cost.Service
-		if s.qs != nil && !steered {
-			if f := s.qs.therm.ThrottleFactor(); f < 1 {
-				service = s.cfg.DispatchCost + time.Duration(float64(cost.Service)/f)
-				s.qs.deg.ThrottledBatches++
-				s.metrics.Inc("aitax_qos_throttled_batches_total")
-			}
-			s.accrueBusy(now)
-			s.qs.hot++
-		}
+		service := s.cfg.DispatchCost + throttled(cost, factor).Service
 		var span *telemetry.ActiveSpan
 		if s.tracer != nil {
 			span = s.tracer.Start("batch", "serve", telemetry.TrackCPU, nil)
-			span.SetAttr("model", b.q.name)
+			span.SetAttr("model", b.q.model.Name)
 			span.SetAttr("size", strconv.Itoa(k))
 			if steered {
 				span.SetAttr("steered", "true")
@@ -490,7 +369,6 @@ func (s *simulator) dispatch() {
 		for _, r := range b.reqs {
 			r.out.Started = now
 			r.out.Steered = steered
-			b.q.queued--
 			if r.wait != nil {
 				r.wait.End()
 			}
@@ -505,37 +383,24 @@ func (s *simulator) dispatch() {
 // complete finishes a batch: per-request accounting, executor release.
 func (s *simulator) complete(b *simBatch, cost BatchCost, steered bool, span *telemetry.ActiveSpan) {
 	now := s.eng.Now()
-	k := len(b.reqs)
 	if span != nil {
 		span.End()
 	}
-	if s.qs != nil && !steered {
-		s.accrueBusy(now)
-		s.qs.hot--
-	}
+	s.release(steered, now.Duration())
 	for _, r := range b.reqs {
 		r.out.Finished = now
-		r.out.BatchSize = k
-		r.out.Infer = cost.Infer / time.Duration(k)
-		r.out.ComputeTax = (cost.Tax + s.cfg.DispatchCost) / time.Duration(k)
-		r.out.Pre = cost.Pre / time.Duration(k)
-		r.out.Post = cost.Post / time.Duration(k)
-		r.out.RPC = cost.RPC / time.Duration(k)
-		r.out.Exec = cost.Exec / time.Duration(k)
+		r.out.charge(cost, s.cfg.DispatchCost)
 		if r.span != nil {
 			r.span.End()
 		}
 		ms := float64(r.out.Latency()) / float64(time.Millisecond)
-		s.metrics.Observe(telemetry.Labeled("aitax_serve_latency_ms", "model", b.q.name), ms)
-		s.metrics.Observe(telemetry.Labeled("aitax_serve_tax_ms", "model", b.q.name),
+		s.metrics.Observe(telemetry.Labeled("aitax_serve_latency_ms", "model", b.q.model.Name), ms)
+		s.metrics.Observe(telemetry.Labeled("aitax_serve_tax_ms", "model", b.q.model.Name),
 			float64(r.out.Tax())/float64(time.Millisecond))
-		if s.qs != nil {
-			s.observeOutcome(r.out.Model, r.out.Latency())
-		}
-		s.remaining--
+		s.score(r.out.Model, r.out.Latency())
 	}
 	s.free++
 	s.active--
 	s.dispatch()
-	s.maybeDisarmTick()
+	s.resolve(len(b.reqs))
 }

@@ -9,6 +9,7 @@ package thermal
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -160,17 +161,17 @@ func Parse(spec string) (*Model, error) {
 		var err error
 		switch key {
 		case "ambient":
-			_, err = fmt.Sscanf(val, "%g", &m.AmbientC)
+			m.AmbientC, err = strconv.ParseFloat(val, 64)
 		case "max":
-			_, err = fmt.Sscanf(val, "%g", &m.MaxLoadC)
+			m.MaxLoadC, err = strconv.ParseFloat(val, 64)
 		case "start":
-			_, err = fmt.Sscanf(val, "%g", &m.ThrottleStartC)
+			m.ThrottleStartC, err = strconv.ParseFloat(val, 64)
 		case "floor":
-			_, err = fmt.Sscanf(val, "%g", &m.ThrottleFloorFactor)
+			m.ThrottleFloorFactor, err = strconv.ParseFloat(val, 64)
 		case "tau":
 			m.TimeConstant, err = time.ParseDuration(val)
 		case "trip":
-			_, err = fmt.Sscanf(val, "%g", &m.TripC)
+			m.TripC, err = strconv.ParseFloat(val, 64)
 		default:
 			return nil, fmt.Errorf("thermal: unknown key %q", key)
 		}

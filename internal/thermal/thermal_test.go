@@ -285,6 +285,9 @@ func TestParse(t *testing.T) {
 		"trip=10",      // trip below ambient
 		"ambient=-Inf", // infinite
 		"vendor=qcom",  // unknown key
+		"start=80x",    // trailing input after the number
+		"trip=90C",     // trailing unit
+		"floor=0.5.5",  // two decimal points
 	}
 	for _, in := range bad {
 		if _, err := Parse(in); err == nil {
