@@ -40,7 +40,6 @@ import (
 	"aitax/internal/lab"
 	"aitax/internal/models"
 	"aitax/internal/nnapi"
-	"aitax/internal/sim"
 	"aitax/internal/snpe"
 	"aitax/internal/soc"
 	"aitax/internal/telemetry"
@@ -462,9 +461,10 @@ func MeasureBenchmarkCtx(ctx context.Context, opts AppOptions) ([]RunSample, err
 	bt.StdLib = opts.StdLib
 	var samples []tflite.RunSample
 	bt.Run(opts.Frames, func(s []tflite.RunSample) { samples = s })
-	if err := runEngine(ctx, rt.Eng); err != nil {
+	if err := rt.Eng.RunCtx(ctx); err != nil {
 		return nil, err
 	}
+	lab.ReportSim(ctx, rt.Eng.Now().Duration())
 	return samples, nil
 }
 
@@ -535,9 +535,10 @@ func measureFrames(ctx context.Context, opts AppOptions, setup func(*tflite.Runt
 			}
 		})
 	})
-	if err := runEngine(ctx, rt.Eng); err != nil {
+	if err := rt.Eng.RunCtx(ctx); err != nil {
 		return nil, nil, err
 	}
+	lab.ReportSim(ctx, rt.Eng.Now().Duration())
 	return rt, frames, nil
 }
 
@@ -608,24 +609,4 @@ func MeasureAppTracedCtx(ctx context.Context, opts AppOptions) (*TraceRun, error
 		Migrations:      mig,
 		ContextSwitches: sw,
 	}, nil
-}
-
-// runEngine drains the simulation engine, checking ctx between event
-// batches so a cancelled measurement aborts promptly, and reports the
-// final virtual time to the enclosing lab job (if any).
-func runEngine(ctx context.Context, eng *sim.Engine) error {
-	const batch = 4096
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		default:
-		}
-		for i := 0; i < batch; i++ {
-			if !eng.Step() {
-				lab.ReportSim(ctx, eng.Now().Duration())
-				return nil
-			}
-		}
-	}
 }

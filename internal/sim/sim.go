@@ -7,7 +7,7 @@
 package sim
 
 import (
-	"container/heap"
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -34,56 +34,57 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 // String renders the time as a duration from simulation start.
 func (t Time) String() string { return Duration(t).String() }
 
-// Event is a scheduled callback in virtual time.
-type event struct {
+// entry is one pending event in the heap. It holds only plain values,
+// so sifting it moves no pointers and pays no GC write barriers.
+type entry struct {
 	at   Time
 	seq  uint64 // tiebreaker: FIFO among simultaneous events
+	slot int32  // index of the event's callback in Engine.slots
+}
+
+func (a entry) before(b entry) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// slot holds the parts of an event the heap does not order by. Slots are
+// recycled through the engine's freelist once their event fires or is
+// popped dead.
+type slot struct {
 	fn   func()
 	dead bool
-	// gen increments every time the event struct is recycled through the
-	// engine's freelist, so an EventID issued for a previous occupancy
-	// can never cancel the current one.
+	// gen increments every time the slot is recycled, so an EventID
+	// issued for a previous occupancy can never cancel the current one.
 	gen uint32
 }
 
 // EventID identifies a scheduled event so it may be cancelled. The zero
 // value is valid and cancels nothing; an ID whose event already fired
-// (and was recycled) is detected by generation and ignored.
+// (and whose slot was recycled) is detected by generation and ignored.
 type EventID struct {
-	ev  *event
-	gen uint32
-}
-
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
+	slot int32 // slot index + 1, so the zero value names no slot
+	gen  uint32
 }
 
 // Engine is a discrete-event simulator. It is not safe for concurrent use;
 // simulated concurrency is expressed through events, not goroutines.
 type Engine struct {
-	now   Time
-	queue eventQueue
-	seq   uint64
-	// free recycles fired/cancelled event structs: a simulation schedules
-	// millions of events but only ever has a bounded number pending, so
-	// the freelist caps event allocation at the peak queue depth.
-	free []*event
+	now Time
+	// heap is a 4-ary min-heap of pending events ordered by (at, seq).
+	heap  []entry
+	slots []slot
+	// free recycles slot indexes: a simulation schedules millions of
+	// events but only ever has a bounded number pending, so the slab
+	// stays at the peak queue depth.
+	free []int32
+	seq  uint64
+
+	// Self-counters; see Scheduled, Fired, Cancelled and PeakPending.
+	fired, cancelled uint64
+	live, peak       int
+
 	// Limit guards against runaway simulations; zero means no limit.
 	Limit Time
 }
@@ -102,27 +103,32 @@ func (e *Engine) Schedule(at Time, fn func()) EventID {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
-	var ev *event
+	var i int32
 	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
+		i = e.free[n-1]
 		e.free = e.free[:n-1]
-		ev.at, ev.seq, ev.fn, ev.dead = at, e.seq, fn, false
 	} else {
-		ev = &event{at: at, seq: e.seq, fn: fn}
+		i = int32(len(e.slots))
+		e.slots = append(e.slots, slot{})
 	}
+	s := &e.slots[i]
+	s.fn = fn
+	e.push(entry{at: at, seq: e.seq, slot: i})
 	e.seq++
-	heap.Push(&e.queue, ev)
-	return EventID{ev: ev, gen: ev.gen}
+	if e.live++; e.live > e.peak {
+		e.peak = e.live
+	}
+	return EventID{slot: i + 1, gen: s.gen}
 }
 
-// recycle returns a popped event to the freelist, bumping its
+// release returns a popped event's slot to the freelist, bumping its
 // generation so outstanding EventIDs for it become inert.
-func (e *Engine) recycle(ev *event) {
-	ev.gen++
-	ev.fn = nil
-	ev.dead = false
-	e.free = append(e.free, ev)
+func (e *Engine) release(i int32) {
+	s := &e.slots[i]
+	s.gen++
+	s.fn = nil
+	s.dead = false
+	e.free = append(e.free, i)
 }
 
 // After runs fn d from now. Negative d panics.
@@ -135,29 +141,36 @@ func (e *Engine) After(d Duration, fn func()) EventID {
 
 // Cancel prevents a pending event from firing. Cancelling an already-fired
 // or already-cancelled event is a no-op (the generation check catches IDs
-// whose event struct has since been recycled for a newer event).
+// whose slot has since been recycled for a newer event).
 func (e *Engine) Cancel(id EventID) {
-	if id.ev != nil && id.ev.gen == id.gen {
-		id.ev.dead = true
+	if id.slot == 0 {
+		return
+	}
+	if s := &e.slots[id.slot-1]; s.gen == id.gen && !s.dead {
+		s.dead = true
+		e.live--
 	}
 }
 
 // Step fires the next pending event. It reports whether an event fired.
 func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*event)
-		if ev.dead {
-			e.recycle(ev)
+	for len(e.heap) > 0 {
+		next := e.pop()
+		if e.slots[next.slot].dead {
+			e.release(next.slot)
+			e.cancelled++
 			continue
 		}
-		if ev.at < e.now {
+		if next.at < e.now {
 			panic("sim: time went backwards")
 		}
-		e.now = ev.at
-		fn := ev.fn
-		// Recycle before firing: fn may schedule new events and reuse
-		// this struct, which is safe once the generation is bumped.
-		e.recycle(ev)
+		e.now = next.at
+		fn := e.slots[next.slot].fn
+		// Release before firing: fn may schedule new events and reuse
+		// this slot, which is safe once the generation is bumped.
+		e.release(next.slot)
+		e.live--
+		e.fired++
 		fn()
 		return true
 	}
@@ -175,14 +188,31 @@ func (e *Engine) Run() Time {
 	return e.now
 }
 
+// RunCtx fires events until the queue drains, checking ctx between
+// batches of 4096 events so a cancelled caller stops promptly. It returns
+// ctx's error if ctx ends first. Limit is not checked.
+func (e *Engine) RunCtx(ctx context.Context) error {
+	const batch = 4096
+	for {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		for i := 0; i < batch; i++ {
+			if !e.Step() {
+				return nil
+			}
+		}
+	}
+}
+
 // RunUntil fires events up to and including time t, leaving later events
 // pending. The clock is advanced to t even if no event lands exactly there.
 func (e *Engine) RunUntil(t Time) {
-	for len(e.queue) > 0 {
-		// Peek.
-		next := e.queue[0]
-		if next.dead {
-			e.recycle(heap.Pop(&e.queue).(*event))
+	for len(e.heap) > 0 {
+		next := e.heap[0]
+		if e.slots[next.slot].dead {
+			e.release(e.pop().slot)
+			e.cancelled++
 			continue
 		}
 		if next.at > t {
@@ -196,14 +226,70 @@ func (e *Engine) RunUntil(t Time) {
 }
 
 // Pending reports the number of live events in the queue.
-func (e *Engine) Pending() int {
-	n := 0
-	for _, ev := range e.queue {
-		if !ev.dead {
-			n++
+func (e *Engine) Pending() int { return e.live }
+
+// Scheduled reports how many events have been scheduled so far. It
+// moves on every Schedule or After call and on nothing else.
+func (e *Engine) Scheduled() uint64 { return e.seq }
+
+// Fired reports how many events have fired.
+func (e *Engine) Fired() uint64 { return e.fired }
+
+// Cancelled reports how many cancelled events have been popped and
+// discarded without firing.
+func (e *Engine) Cancelled() uint64 { return e.cancelled }
+
+// PeakPending reports the largest number of live events ever pending
+// at once.
+func (e *Engine) PeakPending() int { return e.peak }
+
+// push adds x to the heap, sifting it up past every parent it precedes.
+func (e *Engine) push(x entry) {
+	h := append(e.heap, x)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !x.before(h[p]) {
+			break
 		}
+		h[i] = h[p]
+		i = p
 	}
-	return n
+	h[i] = x
+	e.heap = h
+}
+
+// pop removes and returns the heap's first entry.
+func (e *Engine) pop() entry {
+	h := e.heap
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h = h[:n]
+	e.heap = h
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j := c + 1; j < c+4 && j < n; j++ {
+			if h[j].before(h[m]) {
+				m = j
+			}
+		}
+		if !h[m].before(last) {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	h[i] = last
+	return top
 }
 
 // Resource is a capacity-limited server with FIFO queueing: the building
