@@ -99,13 +99,7 @@ func (d *DVFS) tick() {
 		adjust(&d.litIdx, litPeak)
 		d.snapshot()
 
-		busy := false
-		for _, c := range d.s.cores {
-			if c.busy {
-				busy = true
-				break
-			}
-		}
+		busy := d.s.idle != 1<<len(d.s.cores)-1
 		if busy || len(d.s.ready) > 0 {
 			d.tick()
 			return
