@@ -70,25 +70,49 @@ type Spec struct {
 	Mix    []Share
 }
 
+// maxPhaseArrivals caps a phase's expected arrival count (QPS ×
+// seconds). Generate materializes every arrival, so a larger schedule
+// would exhaust memory instead of producing load.
+const maxPhaseArrivals = 1e8
+
+// check reports the first problem with one ramp phase. NaN and infinite
+// rates are rejected explicitly: NaN compares false against every range
+// check and would otherwise produce a silently degenerate (empty or
+// endless) schedule. The mean gap must be a time.Duration of at least
+// 1 ns: a rate so low its gap overflows would make arrival times
+// negative, and one so high its gap rounds to 0 ns would never advance
+// the clock.
+func (p Phase) check() error {
+	if !(p.QPS > 0) || math.IsInf(p.QPS, 0) {
+		return fmt.Errorf("qps must be a positive finite number, got %g", p.QPS)
+	}
+	if p.Duration <= 0 {
+		return fmt.Errorf("duration must be positive, got %v", p.Duration)
+	}
+	if mean := float64(time.Second) / p.QPS; !(mean >= 1 && mean < math.MaxInt64) {
+		return fmt.Errorf("qps %g gives a mean gap of %g ns, want 1 ns to %v", p.QPS, mean, time.Duration(math.MaxInt64))
+	}
+	if n := p.QPS * p.Duration.Seconds(); n > maxPhaseArrivals {
+		return fmt.Errorf("qps %g for %v expects %.3g arrivals, want at most %g", p.QPS, p.Duration, n, float64(maxPhaseArrivals))
+	}
+	return nil
+}
+
 // Validate reports the first problem with the spec. All errors wrap
-// ErrBadSpec. NaN and infinite rates are rejected explicitly: NaN
-// compares false against every range check and would otherwise produce
-// a silently degenerate (empty or endless) schedule.
+// ErrBadSpec.
 func (s Spec) Validate() error {
 	if len(s.Phases) == 0 {
 		return fmt.Errorf("%w: needs at least one ramp phase", ErrBadSpec)
 	}
 	for i, p := range s.Phases {
-		if !(p.QPS > 0) || math.IsInf(p.QPS, 0) {
-			return fmt.Errorf("%w: phase %d: qps must be a positive finite number, got %g", ErrBadSpec, i, p.QPS)
-		}
-		if p.Duration <= 0 {
-			return fmt.Errorf("%w: phase %d: duration must be positive, got %v", ErrBadSpec, i, p.Duration)
+		if err := p.check(); err != nil {
+			return fmt.Errorf("%w: phase %d: %v", ErrBadSpec, i, err)
 		}
 	}
 	if len(s.Mix) == 0 {
 		return fmt.Errorf("%w: needs at least one model in the mix", ErrBadSpec)
 	}
+	total := 0
 	for i, m := range s.Mix {
 		if m.Model == "" {
 			return fmt.Errorf("%w: mix entry %d has no model name", ErrBadSpec, i)
@@ -96,6 +120,10 @@ func (s Spec) Validate() error {
 		if m.Weight <= 0 {
 			return fmt.Errorf("%w: mix entry %d (%s): weight must be positive, got %d", ErrBadSpec, i, m.Model, m.Weight)
 		}
+		if m.Weight > math.MaxInt-total {
+			return fmt.Errorf("%w: mix entry %d (%s): weights sum past %d", ErrBadSpec, i, m.Model, math.MaxInt)
+		}
+		total += m.Weight
 		if _, err := qos.ParseClass(m.Class); err != nil {
 			return fmt.Errorf("%w: mix entry %d (%s): %v", ErrBadSpec, i, m.Model, err)
 		}
@@ -129,9 +157,18 @@ func (s Spec) Generate() ([]Arrival, error) {
 	for _, p := range s.Phases {
 		end := phaseStart + p.Duration
 		mean := float64(time.Second) / p.QPS // mean gap in ns
+		// gap draws the next interarrival gap, capped at limit: a draw
+		// past the phase end ends the phase either way, and the cap
+		// keeps a long tail draw from overflowing time.Duration.
+		gap := func(limit time.Duration) time.Duration {
+			if g := rng.Exp(mean); g < float64(limit) {
+				return time.Duration(g)
+			}
+			return limit
+		}
 		// Memorylessness: a fresh draw at the phase boundary is exactly
 		// the residual wait under the new rate.
-		t := phaseStart + time.Duration(rng.Exp(mean))
+		t := phaseStart + gap(p.Duration)
 		for t < end {
 			pick := rng.Intn(total)
 			model, class := "", ""
@@ -143,7 +180,7 @@ func (s Spec) Generate() ([]Arrival, error) {
 				pick -= m.Weight
 			}
 			out = append(out, Arrival{ID: len(out), At: t, Model: model, Class: class})
-			t += time.Duration(rng.Exp(mean))
+			t += gap(end - t)
 		}
 		phaseStart = end
 	}
@@ -168,17 +205,15 @@ func ParseRamp(s string) ([]Phase, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: ramp phase %q: bad qps %q", ErrBadSpec, part, qpsStr)
 		}
-		if !(qps > 0) || math.IsInf(qps, 0) {
-			return nil, fmt.Errorf("%w: ramp phase %q: qps must be a positive finite number, got %g", ErrBadSpec, part, qps)
-		}
 		dur, err := time.ParseDuration(durStr)
 		if err != nil {
 			return nil, fmt.Errorf("%w: ramp phase %q: bad duration %q", ErrBadSpec, part, durStr)
 		}
-		if dur <= 0 {
-			return nil, fmt.Errorf("%w: ramp phase %q: duration must be positive, got %v", ErrBadSpec, part, dur)
+		p := Phase{QPS: qps, Duration: dur}
+		if err := p.check(); err != nil {
+			return nil, fmt.Errorf("%w: ramp phase %q: %v", ErrBadSpec, part, err)
 		}
-		phases = append(phases, Phase{QPS: qps, Duration: dur})
+		phases = append(phases, p)
 	}
 	if len(phases) == 0 {
 		return nil, fmt.Errorf("%w: empty ramp spec", ErrBadSpec)
@@ -192,6 +227,7 @@ func ParseRamp(s string) ([]Phase, error) {
 // name contains a colon, so the class suffix is unambiguous.
 func ParseMix(s string) ([]Share, error) {
 	var mix []Share
+	total := 0
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -210,6 +246,9 @@ func ParseMix(s string) ([]Share, error) {
 			if w <= 0 {
 				return nil, fmt.Errorf("%w: mix entry %q: weight must be positive, got %d", ErrBadSpec, part, w)
 			}
+			if w > math.MaxInt-total {
+				return nil, fmt.Errorf("%w: mix entry %q: weights sum past %d", ErrBadSpec, part, math.MaxInt)
+			}
 			weight = w
 		} else {
 			name, class, _ = cutClass(name)
@@ -224,6 +263,7 @@ func ParseMix(s string) ([]Share, error) {
 		if class != "" {
 			class = cls.String() // canonical spelling
 		}
+		total += weight
 		mix = append(mix, Share{Model: name, Weight: weight, Class: class})
 	}
 	if len(mix) == 0 {

@@ -228,3 +228,61 @@ func TestParseRampRejectsNonPositive(t *testing.T) {
 		}
 	}
 }
+
+// TestDegenerateRatesRejected covers rates whose mean gap is not a
+// time.Duration of at least 1 ns, and ramps too large to materialize.
+// Generate on any of them used to loop with negative or non-advancing
+// arrival times until memory ran out.
+func TestDegenerateRatesRejected(t *testing.T) {
+	for _, tc := range []struct {
+		ramp   string
+		phases []Phase
+	}{
+		{"1e-300x1s", []Phase{{1e-300, time.Second}}},
+		{"1e300x1ns", []Phase{{1e300, time.Nanosecond}}},
+		{"2e9x1s", []Phase{{2e9, time.Second}}},
+		{"1e8x2s", []Phase{{1e8, 2 * time.Second}}},
+		{"5x1s,1e-300x1s", []Phase{{5, time.Second}, {1e-300, time.Second}}},
+	} {
+		if _, err := ParseRamp(tc.ramp); !errors.Is(err, ErrBadSpec) {
+			t.Errorf("ParseRamp(%q) = %v, want ErrBadSpec", tc.ramp, err)
+		}
+		s := spec()
+		s.Phases = tc.phases
+		if err := s.Validate(); !errors.Is(err, ErrBadSpec) {
+			t.Errorf("Validate(%q) = %v, want ErrBadSpec", tc.ramp, err)
+			continue
+		}
+		if _, err := s.Generate(); err == nil {
+			t.Errorf("Generate(%q) succeeded on an invalid spec", tc.ramp)
+		}
+	}
+	for _, ramp := range []string{"1e9x100ms", "1e-9x1s"} {
+		if _, err := ParseRamp(ramp); err != nil {
+			t.Errorf("ParseRamp(%q): %v, want it accepted", ramp, err)
+		}
+	}
+	s := spec()
+	s.Mix = []Share{{Model: "a", Weight: math.MaxInt}, {Model: "b", Weight: 1}}
+	if err := s.Validate(); !errors.Is(err, ErrBadSpec) {
+		t.Errorf("Validate with overflowing weights = %v, want ErrBadSpec", err)
+	}
+}
+
+// TestTinyRateStaysInPhase: at 2e-10 QPS the mean gap is 5e18 ns, so
+// most draws exceed the largest time.Duration. Arrivals must still land
+// inside the phase, never at a wrapped-around negative time.
+func TestTinyRateStaysInPhase(t *testing.T) {
+	for seed := uint64(1); seed <= 50; seed++ {
+		s := Spec{Seed: seed, Phases: []Phase{{QPS: 2e-10, Duration: time.Second}}, Mix: []Share{{Model: "m", Weight: 1}}}
+		arr, err := s.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range arr {
+			if a.At < 0 || a.At >= time.Second {
+				t.Fatalf("seed %d: arrival at %v, outside the 1s phase", seed, a.At)
+			}
+		}
+	}
+}
