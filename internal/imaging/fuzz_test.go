@@ -3,8 +3,6 @@ package imaging
 import (
 	"bytes"
 	"testing"
-
-	"aitax/internal/par"
 )
 
 // FuzzYUVConversion drives the NV21 decode with arbitrary plane bytes:
@@ -71,36 +69,31 @@ func FuzzARGBToYUVSwarBitExact(f *testing.F) {
 }
 
 // TestSwarKernelsAllTailLanes sweeps every even width 2..34 (so every
-// w%8 tail lane) at several worker counts, pinning both SWAR conversions
-// bit-exact against the scalar references regardless of how par splits
-// the rows.
+// w%8 tail lane), pinning both SWAR conversions bit-exact against the
+// scalar references.
 func TestSwarKernelsAllTailLanes(t *testing.T) {
-	defer par.SetWorkers(par.SetWorkers(1))
-	for _, workers := range []int{1, 2, 3, 8} {
-		par.SetWorkers(workers)
-		for w := 2; w <= 34; w += 2 {
-			for _, h := range []int{2, 6} {
-				frame := NewYUV(w, h)
-				for i := range frame.Y {
-					frame.Y[i] = byte(i*31 + 7)
-				}
-				for i := range frame.VU {
-					frame.VU[i] = byte(i*53 + 3) // spans out-of-gamut chroma
-				}
-				want := scalarYUVToARGB(frame)
-				got := YUVToARGB(frame)
-				if !bytes.Equal(pixBytes(got), pixBytes(want)) {
-					t.Fatalf("decode %dx%d @%d workers differs", w, h, workers)
-				}
-				scene := NewARGB(w, h)
-				for i := range scene.Pix {
-					scene.Pix[i] = uint32(i*2654435761 + 97)
-				}
-				wantYUV := scalarARGBToYUV(scene)
-				gotYUV := ARGBToYUV(scene)
-				if !bytes.Equal(gotYUV.Y, wantYUV.Y) || !bytes.Equal(gotYUV.VU, wantYUV.VU) {
-					t.Fatalf("encode %dx%d @%d workers differs", w, h, workers)
-				}
+	for w := 2; w <= 34; w += 2 {
+		for _, h := range []int{2, 6} {
+			frame := NewYUV(w, h)
+			for i := range frame.Y {
+				frame.Y[i] = byte(i*31 + 7)
+			}
+			for i := range frame.VU {
+				frame.VU[i] = byte(i*53 + 3) // spans out-of-gamut chroma
+			}
+			want := scalarYUVToARGB(frame)
+			got := YUVToARGB(frame)
+			if !bytes.Equal(pixBytes(got), pixBytes(want)) {
+				t.Fatalf("decode %dx%d differs", w, h)
+			}
+			scene := NewARGB(w, h)
+			for i := range scene.Pix {
+				scene.Pix[i] = uint32(i*2654435761 + 97)
+			}
+			wantYUV := scalarARGBToYUV(scene)
+			gotYUV := ARGBToYUV(scene)
+			if !bytes.Equal(gotYUV.Y, wantYUV.Y) || !bytes.Equal(gotYUV.VU, wantYUV.VU) {
+				t.Fatalf("encode %dx%d differs", w, h)
 			}
 		}
 	}

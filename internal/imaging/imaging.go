@@ -7,9 +7,7 @@ package imaging
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 
-	"aitax/internal/par"
 	"aitax/internal/sim"
 )
 
@@ -90,7 +88,6 @@ func clampU8(v int) uint8 {
 	return uint8(v)
 }
 
-
 // Fixed-point coefficient tables for the BT.601 conversions. Each table
 // is one term of the original per-pixel integer expressions, precomputed
 // over the 256 possible byte values, so the kernels replace multiplies
@@ -137,19 +134,15 @@ func YUVToARGB(src *YUVImage) *ARGBImage {
 	return YUVToARGBInto(NewARGB(src.Width, src.Height), src)
 }
 
-// yuvToARGBTask tiles the conversion by output row; each NV21 chroma row
-// serves a pair of luma rows read-only, so row tiles are independent.
-type yuvToARGBTask struct {
-	dst *ARGBImage
-	src *YUVImage
-}
-
-var yuvToARGBTasks = sync.Pool{New: func() any { return new(yuvToARGBTask) }}
-
-func (t *yuvToARGBTask) Tile(lo, hi int) {
-	src, dst := t.src, t.dst
+// YUVToARGBInto is the in-place variant of YUVToARGB: it converts into
+// dst (resized to match src) and allocates nothing when dst's backing
+// array is already large enough. The conversion runs over precomputed
+// coefficient tables; output is bit-identical to the scalar BT.601
+// reference. Returns dst.
+func YUVToARGBInto(dst *ARGBImage, src *YUVImage) *ARGBImage {
+	dst.Resize(src.Width, src.Height)
 	w := src.Width
-	for j := lo; j < hi; j++ {
+	for j := 0; j < src.Height; j++ {
 		yRow := src.Y[j*w : j*w+w]
 		vuRow := src.VU[(j/2)*w : (j/2)*w+w]
 		out := dst.Pix[j*w : j*w+w]
@@ -195,20 +188,6 @@ func (t *yuvToARGBTask) Tile(lo, hi int) {
 			out[i+1] = PackRGB(clampU8(int(y1+rC)>>10), clampU8(int(y1+gC)>>10), clampU8(int(y1+bC)>>10))
 		}
 	}
-}
-
-// YUVToARGBInto is the in-place variant of YUVToARGB: it converts into
-// dst (resized to match src) and allocates nothing when dst's backing
-// array is already large enough. The conversion runs on the par tile
-// scheduler over precomputed coefficient tables; output is bit-identical
-// to the scalar BT.601 reference at any worker count. Returns dst.
-func YUVToARGBInto(dst *ARGBImage, src *YUVImage) *ARGBImage {
-	dst.Resize(src.Width, src.Height)
-	t := yuvToARGBTasks.Get().(*yuvToARGBTask)
-	t.dst, t.src = dst, src
-	par.For(src.Height, t)
-	t.dst, t.src = nil, nil
-	yuvToARGBTasks.Put(t)
 	return dst
 }
 
@@ -218,16 +197,6 @@ func YUVToARGBInto(dst *ARGBImage, src *YUVImage) *ARGBImage {
 func ARGBToYUV(src *ARGBImage) *YUVImage {
 	return ARGBToYUVInto(NewYUV(src.Width&^1, src.Height&^1), src)
 }
-
-// argbToYUVTask tiles the conversion by NV21 row *pair* (one luma pair
-// plus its shared chroma row), so every VU write stays inside the tile
-// that owns it and tiles remain independent.
-type argbToYUVTask struct {
-	dst *YUVImage
-	src *ARGBImage
-}
-
-var argbToYUVTasks = sync.Pool{New: func() any { return new(argbToYUVTask) }}
 
 // lumaByte computes one pixel's NV21 luma byte (BT.601, +16 offset).
 // No clamp is needed: over all 2^24 RGB inputs the result stays within
@@ -252,10 +221,15 @@ func uByte(p uint32) uint64 {
 	return uint64(((urTab[r] + ugTab[g] + ubTab[b] + 128) >> 8) + 128)
 }
 
-func (t *argbToYUVTask) Tile(lo, hi int) {
-	src, dst := t.src, t.dst
+// ARGBToYUVInto is the in-place variant of ARGBToYUV: it converts into
+// dst (resized to src's even dimensions) and allocates nothing when
+// dst's backing arrays are already large enough. Runs over precomputed
+// coefficient tables; bit-identical to the scalar BT.601 reference.
+// Returns dst.
+func ARGBToYUVInto(dst *YUVImage, src *ARGBImage) *YUVImage {
+	dst.Resize(src.Width&^1, src.Height&^1)
 	w := dst.Width
-	for j := 2 * lo; j < 2*hi; j++ {
+	for j := 0; j < dst.Height; j++ {
 		srcRow := src.Pix[j*src.Width : j*src.Width+w]
 		yRow := dst.Y[j*w : j*w+w]
 		if j%2 == 0 {
@@ -298,20 +272,6 @@ func (t *argbToYUVTask) Tile(lo, hi int) {
 			}
 		}
 	}
-}
-
-// ARGBToYUVInto is the in-place variant of ARGBToYUV: it converts into
-// dst (resized to src's even dimensions) and allocates nothing when
-// dst's backing arrays are already large enough. Runs tiled by row pair
-// on precomputed coefficient tables; bit-identical to the scalar BT.601
-// reference at any worker count. Returns dst.
-func ARGBToYUVInto(dst *YUVImage, src *ARGBImage) *YUVImage {
-	dst.Resize(src.Width&^1, src.Height&^1)
-	t := argbToYUVTasks.Get().(*argbToYUVTask)
-	t.dst, t.src = dst, src
-	par.For(dst.Height/2, t)
-	t.dst, t.src = nil, nil
-	argbToYUVTasks.Put(t)
 	return dst
 }
 
@@ -323,27 +283,31 @@ func SyntheticScene(width, height int, seed uint64) *ARGBImage {
 	return SyntheticSceneInto(GetARGB(width, height), seed)
 }
 
-// gradientTask fills the scene's gradient background rows from the
-// per-axis tables; rows are independent, so it tiles on the scheduler.
-type gradientTask struct {
-	img   *ARGBImage
-	rCol  []uint32
-	bDiag []uint32
-}
-
-func (t *gradientTask) Tile(lo, hi int) {
-	width := t.img.Width
-	for j := lo; j < hi; j++ {
-		gRow := 0xFF000000 | uint32(uint8(255*j/t.img.Height))<<8
-		row := t.img.Pix[j*width : j*width+width]
-		diag := t.bDiag[j : j+width]
-		for i := range row {
-			row[i] = gRow | t.rCol[i] | diag[i]
+// paintGradient fills img with the scene's background: r = 255*i/width
+// follows the column, g = 255*j/height the row and
+// b = 255*(i+j)/(width+height) the diagonal. Only the first row and the
+// last column divide: every other pixel takes its red from the pixel
+// above (same column) and its blue from the pixel above and to the
+// right (same diagonal), so the previous row serves as the lookup table
+// (pinned against the division form by TestGradientMatchesDivision).
+func paintGradient(img *ARGBImage) {
+	width, height := img.Width, img.Height
+	diag := width + height
+	first := img.Pix[:width]
+	for i := range first {
+		first[i] = 0xFF000000 | uint32(255*i/width)<<16 | uint32(255*i/diag)
+	}
+	for j := 1; j < height; j++ {
+		g := 0xFF000000 | uint32(255*j/height)<<8
+		prev := img.Pix[(j-1)*width : j*width]
+		row := img.Pix[j*width : (j+1)*width]
+		above, aboveRight := prev[:width-1], prev[1:]
+		for i := range above {
+			row[i] = g | above[i]&0xFF0000 | aboveRight[i]&0xFF
 		}
+		row[width-1] = g | prev[width-1]&0xFF0000 | uint32(255*(width-1+j)/diag)
 	}
 }
-
-var gradientTasks = sync.Pool{New: func() any { return new(gradientTask) }}
 
 // SyntheticSceneInto paints the procedural scene into dst, overwriting
 // every pixel. The pixel content for a given (dimensions, seed) pair is
@@ -352,24 +316,7 @@ func SyntheticSceneInto(dst *ARGBImage, seed uint64) *ARGBImage {
 	rng := sim.NewRNG(seed)
 	img := dst
 	width, height := img.Width, img.Height
-	// Gradient background. The channel values depend only on the column
-	// (r), row (g) and diagonal (b), so the integer divisions are hoisted
-	// into per-axis tables (recycled across frames) and each pixel is an
-	// OR of prepacked parts, painted row-tiled.
-	grad := gradientTasks.Get().(*gradientTask)
-	grad.img = img
-	grad.rCol = growUint32(grad.rCol, width)
-	grad.bDiag = growUint32(grad.bDiag, width+height)
-	rCol, bDiag := grad.rCol, grad.bDiag
-	for i := 0; i < width; i++ {
-		rCol[i] = uint32(uint8(255*i/width)) << 16
-	}
-	for s := 0; s < width+height; s++ {
-		bDiag[s] = uint32(uint8(s * 255 / (width + height)))
-	}
-	par.For(height, grad)
-	grad.img = nil
-	gradientTasks.Put(grad)
+	paintGradient(img)
 	// Rectangles simulating objects.
 	for k := 0; k < 4; k++ {
 		x0 := rng.Intn(width * 3 / 4)

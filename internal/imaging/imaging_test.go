@@ -2,6 +2,8 @@ package imaging
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"testing"
 	"testing/quick"
@@ -140,6 +142,56 @@ func TestSyntheticSceneDeterministic(t *testing.T) {
 	}
 	if diff == 0 {
 		t.Fatal("different seeds produced identical scenes")
+	}
+}
+
+// TestSyntheticFramePixelsPinned holds the SHA-256 of the NV21 bytes
+// (Y plane, then VU) of the preview frames cameras share (seeds
+// 1000-1003 at 480x360) and of two small sizes, so a rewrite of the
+// scene painter must stay byte-identical. 118 and 30 are widths that
+// are not multiples of 8 (SWAR tail lanes) and are below 255 (the
+// gradient steps more than one level per column).
+func TestSyntheticFramePixelsPinned(t *testing.T) {
+	for _, c := range []struct {
+		w, h int
+		seed uint64
+		want string
+	}{
+		{480, 360, 1000, "9f386a2399b7c8615139497a3b5029d618666424500a601a28c15e4c7dde862c"},
+		{480, 360, 1001, "64a9459a11b7a5b8ccd7ec1c8c960d12566be27d51fe605ae625150ed4b875ce"},
+		{480, 360, 1002, "628997c9d71fe1da74f6eb42d557f76e7d29f8b634f4710c039ea3632b8ccc90"},
+		{480, 360, 1003, "afe023fc28823347cbb7d08beaac38f567ed562366a70935a78f270f1159e6cc"},
+		{118, 74, 7, "91b07c0798787007fd9f6ff48a7fd5ed2b261e5885d7a8a052f9c53cd145be53"},
+		{30, 20, 2, "1758a2628c518f9f14747f9482f5c1b183c7ec832b134385d1a205e11deeb945"},
+	} {
+		f := SyntheticFrame(c.w, c.h, c.seed)
+		h := sha256.New()
+		h.Write(f.Y)
+		h.Write(f.VU)
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
+			t.Errorf("SyntheticFrame(%d, %d, %d) digest = %s, want %s", c.w, c.h, c.seed, got, c.want)
+		}
+	}
+}
+
+// TestGradientMatchesDivision pins paintGradient's incremental stepping
+// to the three integer divisions it replaces, over widths and heights
+// below, at and above 255 (where the per-pixel step is several levels,
+// one level, or a fraction of one).
+func TestGradientMatchesDivision(t *testing.T) {
+	for _, w := range []int{1, 2, 3, 7, 8, 100, 254, 255, 256, 257, 480, 511, 640} {
+		for _, h := range []int{1, 2, 5, 224, 255, 256, 360} {
+			img := NewARGB(w, h)
+			paintGradient(img)
+			for j := 0; j < h; j++ {
+				for i := 0; i < w; i++ {
+					want := PackRGB(uint8(255*i/w), uint8(255*j/h), uint8(255*(i+j)/(w+h)))
+					if got := img.At(i, j); got != want {
+						t.Fatalf("%dx%d pixel (%d, %d) = %#x, want %#x", w, h, i, j, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 

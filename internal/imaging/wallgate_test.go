@@ -4,8 +4,6 @@ import (
 	"os"
 	"testing"
 	"time"
-
-	"aitax/internal/par"
 )
 
 // This file is the in-process half of the wall-time gate (`make
@@ -102,7 +100,6 @@ func TestWallGateConversionKernels(t *testing.T) {
 	if os.Getenv("AITAX_WALL_GATE") == "" {
 		t.Skip("in-process wall check; run via `make bench-wall` (AITAX_WALL_GATE=1)")
 	}
-	defer par.SetWorkers(par.SetWorkers(1)) // single-threaded A/B: compare kernels, not the scheduler
 	frame := SyntheticFrame(640, 480, 7)
 	scene := SyntheticScene(640, 480, 7)
 	bmp := NewARGB(640, 480)

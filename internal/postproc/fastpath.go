@@ -1,26 +1,19 @@
 package postproc
 
-// Tiled fast paths for the heavy post-processing kernels. Two ideas,
-// both output-preserving:
-//
-//  1. Dtype specialization. The generic kernels call tensor.At per
-//     element — a dequantizing switch that dominates the DeepLab mask
-//     flatten (5.5M calls per frame). For the common dtypes the argmax
-//     can instead compare raw storage: float64(float32) is a monotone
-//     injection (and NaN stays incomparable), int32 order is the
-//     float64 order, and for quantized tensors real = scale*(q-zp) is
-//     strictly increasing in q whenever scale > 0 — distinct bytes
-//     can't collide after rounding because their real values differ by
-//     at least scale, far above one ulp at this magnitude. Tensors
-//     with scale <= 0 (or exotic dtypes) take the original At loop.
-//
-//  2. Row tiling on internal/par. Every task below writes only its own
-//     slice of the output, so the static partition makes the result
-//     byte-identical at any worker count.
+// Dtype-specialized fast paths for the heavy post-processing kernels,
+// all output-preserving. The generic kernels call tensor.At per element
+// — a dequantizing switch that dominates the DeepLab mask flatten (5.5M
+// calls per frame). For the common dtypes the argmax can instead
+// compare raw storage: float64(float32) is a monotone injection (and
+// NaN stays incomparable), int32 order is the float64 order, and for
+// quantized tensors real = scale*(q-zp) is strictly increasing in q
+// whenever scale > 0 — distinct bytes can't collide after rounding
+// because their real values differ by at least scale, far above one ulp
+// at this magnitude. Tensors with scale <= 0 (or exotic dtypes) take
+// the original At loop.
 
 import (
 	"math"
-	"sync"
 
 	"aitax/internal/tensor"
 )
@@ -31,11 +24,11 @@ type rawComparable interface {
 	~int8 | ~uint8 | ~int32 | ~float32
 }
 
-// argmaxRows writes the per-row argmax of an n×c matrix into mask for
-// rows [lo, hi), with the same strict-greater first-wins tie rule as
-// the At-based loop.
-func argmaxRows[E rawComparable](mask []int, s []E, c, lo, hi int) {
-	for p := lo; p < hi; p++ {
+// argmaxRows writes the per-row argmax of a len(mask)×c matrix into
+// mask, with the same strict-greater first-wins tie rule as the
+// At-based loop.
+func argmaxRows[E rawComparable](mask []int, s []E, c int) {
+	for p := range mask {
 		row := s[p*c:][:c]
 		best, bestS := 0, row[0]
 		for ch := 1; ch < c; ch++ {
@@ -47,27 +40,19 @@ func argmaxRows[E rawComparable](mask []int, s []E, c, lo, hi int) {
 	}
 }
 
-type maskTask struct {
-	t    *tensor.Tensor
-	c    int
-	mask []int
-}
-
-var maskTaskPool = sync.Pool{New: func() any { return new(maskTask) }}
-
-func (mt *maskTask) Tile(lo, hi int) {
-	t, c := mt.t, mt.c
+// flattenMask writes the per-pixel argmax over t's c channels into mask.
+func flattenMask(mask []int, t *tensor.Tensor, c int) {
 	switch {
 	case t.DType == tensor.Float32:
-		argmaxRows(mt.mask, t.F32, c, lo, hi)
+		argmaxRows(mask, t.F32, c)
 	case t.DType == tensor.Int32:
-		argmaxRows(mt.mask, t.I32, c, lo, hi)
+		argmaxRows(mask, t.I32, c)
 	case t.DType == tensor.UInt8 && t.Quant.Scale > 0:
-		argmaxRows(mt.mask, t.U8, c, lo, hi)
+		argmaxRows(mask, t.U8, c)
 	case t.DType == tensor.Int8 && t.Quant.Scale > 0:
-		argmaxRows(mt.mask, t.I8, c, lo, hi)
+		argmaxRows(mask, t.I8, c)
 	default:
-		for p := lo; p < hi; p++ {
+		for p := range mask {
 			base := p * c
 			best, bestScore := 0, t.At(base)
 			for ch := 1; ch < c; ch++ {
@@ -75,40 +60,46 @@ func (mt *maskTask) Tile(lo, hi int) {
 					best, bestScore = ch, s
 				}
 			}
-			mt.mask[p] = best
+			mask[p] = best
 		}
 	}
 }
 
-// ssdScratch holds the per-anchor argmax results of the parallel score
-// scan, recycled across DecodeBoxesInto calls.
-type ssdScratch struct {
-	bestC []int32
-	bestS []float64
+// boxDecoder decodes SSD anchors into boxes for DecodeBoxesInto.
+type boxDecoder struct {
+	locs      *tensor.Tensor
+	anchors   []Anchor
+	threshold float64
 }
 
-var ssdScratchPool = sync.Pool{New: func() any { return new(ssdScratch) }}
-
-func growInt32(s []int32, n int) []int32 {
-	if cap(s) >= n {
-		return s[:n]
+// add appends anchor i's box to out when its best class is not the
+// background and its score passes the threshold.
+func (d *boxDecoder) add(out []Box, i, class int, score float64) []Box {
+	if class == 0 || score < d.threshold {
+		return out
 	}
-	return make([]int32, n)
+	const scaleXY, scaleHW = 10.0, 5.0
+	a, locs := d.anchors[i], d.locs
+	ty, tx := locs.At(i*4), locs.At(i*4+1)
+	th, tw := locs.At(i*4+2), locs.At(i*4+3)
+	cy := ty/scaleXY*a.H + a.CY
+	cx := tx/scaleXY*a.W + a.CX
+	hh := math.Exp(th/scaleHW) * a.H
+	ww := math.Exp(tw/scaleHW) * a.W
+	return append(out, Box{
+		YMin: cy - hh/2, XMin: cx - ww/2,
+		YMax: cy + hh/2, XMax: cx + ww/2,
+		Class: class, Score: score,
+	})
 }
 
-func growFloat64(s []float64, n int) []float64 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]float64, n)
-}
-
-// bestClassRows scans anchors [lo, hi) of raw class scores, skipping
-// background channel 0, replicating "s > bestS with bestS starting at
-// 0.0" in the raw domain: the raw threshold init is the value that
-// dequantizes to exactly 0.0 (the zero point; 0 for identity dtypes).
-func bestClassRows[E rawComparable](bestC []int32, bestS []float64, s []E, c, lo, hi int, init E, deq func(E) float64) {
-	for i := lo; i < hi; i++ {
+// decodeRaw scans n anchors of raw class scores, skipping background
+// channel 0, replicating "s > bestS with bestS starting at 0.0" in the
+// raw domain: the raw threshold init is the value that dequantizes to
+// exactly 0.0 (the zero point; 0 for identity dtypes). Each anchor's
+// best class goes straight to d.add, so boxes append in anchor order.
+func decodeRaw[E rawComparable](out []Box, d *boxDecoder, s []E, n, c int, init E, deq func(E) float64) []Box {
+	for i := 0; i < n; i++ {
 		row := s[i*c:][:c]
 		best, bestRaw := 0, init
 		for ch := 1; ch < c; ch++ {
@@ -116,62 +107,44 @@ func bestClassRows[E rawComparable](bestC []int32, bestS []float64, s []E, c, lo
 				best, bestRaw = ch, row[ch]
 			}
 		}
-		bestC[i] = int32(best)
-		bestS[i] = deq(bestRaw)
+		out = d.add(out, i, best, deq(bestRaw))
 	}
+	return out
 }
 
-type boxScanTask struct {
-	scores *tensor.Tensor
-	c      int
-	bestC  []int32
-	bestS  []float64
-}
-
-var boxScanTaskPool = sync.Pool{New: func() any { return new(boxScanTask) }}
-
-func (bt *boxScanTask) Tile(lo, hi int) {
-	t, c := bt.scores, bt.c
+// decodeBoxes appends the boxes of n anchors with c score channels each
+// to out, taking the raw-domain fast path where the dtype allows it.
+func decodeBoxes(out []Box, d *boxDecoder, t *tensor.Tensor, n, c int) []Box {
 	q := t.Quant
 	switch {
 	case t.DType == tensor.Float32:
-		bestClassRows(bt.bestC, bt.bestS, t.F32, c, lo, hi, 0,
-			func(v float32) float64 { return float64(v) })
+		return decodeRaw(out, d, t.F32, n, c, 0, func(v float32) float64 { return float64(v) })
 	case t.DType == tensor.Int32:
-		bestClassRows(bt.bestC, bt.bestS, t.I32, c, lo, hi, 0,
-			func(v int32) float64 { return float64(v) })
+		return decodeRaw(out, d, t.I32, n, c, 0, func(v int32) float64 { return float64(v) })
 	case t.DType == tensor.UInt8 && q.Scale > 0 && q.ZeroPoint >= 0 && q.ZeroPoint <= 255:
-		bestClassRows(bt.bestC, bt.bestS, t.U8, c, lo, hi, uint8(q.ZeroPoint),
+		return decodeRaw(out, d, t.U8, n, c, uint8(q.ZeroPoint),
 			func(v uint8) float64 { return q.Dequantize(int(v)) })
 	case t.DType == tensor.Int8 && q.Scale > 0 && q.ZeroPoint >= -128 && q.ZeroPoint <= 127:
-		bestClassRows(bt.bestC, bt.bestS, t.I8, c, lo, hi, int8(q.ZeroPoint),
+		return decodeRaw(out, d, t.I8, n, c, int8(q.ZeroPoint),
 			func(v int8) float64 { return q.Dequantize(int(v)) })
-	default:
-		for i := lo; i < hi; i++ {
-			best, bestScore := 0, 0.0
-			for ch := 1; ch < c; ch++ {
-				if s := t.At(i*c + ch); s > bestScore {
-					best, bestScore = ch, s
-				}
-			}
-			bt.bestC[i] = int32(best)
-			bt.bestS[i] = bestScore
-		}
 	}
+	for i := 0; i < n; i++ {
+		best, bestScore := 0, 0.0
+		for ch := 1; ch < c; ch++ {
+			if s := t.At(i*c + ch); s > bestScore {
+				best, bestScore = ch, s
+			}
+		}
+		out = d.add(out, i, best, bestScore)
+	}
+	return out
 }
 
-type kpTask struct {
-	heatmaps, offsets *tensor.Tensor
-	h, w, k, stride   int
-	out               []Keypoint
-}
-
-var kpTaskPool = sync.Pool{New: func() any { return new(kpTask) }}
-
-func (t *kpTask) Tile(lo, hi int) {
-	h, w, k := t.h, t.w, t.k
-	hm := t.heatmaps
-	for kp := lo; kp < hi; kp++ {
+// decodeKeypoints fills out (one entry per heatmap channel) from
+// [1, h, w, len(out)] heatmaps and their [1, h, w, 2*len(out)] offsets.
+func decodeKeypoints(out []Keypoint, hm, offsets *tensor.Tensor, h, w, stride int) {
+	k := len(out)
+	for kp := range out {
 		bestY, bestX := 0, 0
 		var bestScore float64
 		switch {
@@ -223,11 +196,11 @@ func (t *kpTask) Tile(lo, hi int) {
 			}
 		}
 		offBase := ((bestY * w) + bestX) * 2 * k
-		offY := t.offsets.At(offBase + kp)
-		offX := t.offsets.At(offBase + k + kp)
-		t.out[kp] = Keypoint{
-			Y:     float64(bestY*t.stride) + offY,
-			X:     float64(bestX*t.stride) + offX,
+		offY := offsets.At(offBase + kp)
+		offX := offsets.At(offBase + k + kp)
+		out[kp] = Keypoint{
+			Y:     float64(bestY*stride) + offY,
+			X:     float64(bestX*stride) + offX,
 			Score: sigmoid(bestScore),
 		}
 	}

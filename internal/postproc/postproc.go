@@ -11,7 +11,6 @@ import (
 	"slices"
 	"sort"
 
-	"aitax/internal/par"
 	"aitax/internal/tensor"
 	"aitax/internal/work"
 )
@@ -150,9 +149,8 @@ func FlattenMask(t *tensor.Tensor) []int {
 
 // FlattenMaskInto is the allocation-free variant of FlattenMask: the
 // mask is written into dst's storage (grown only if too small). The
-// argmax runs tiled over the pixel range with dtype-specialized inner
-// loops (see fastpath.go); the result is identical to the sequential
-// At-based scan for every dtype.
+// argmax runs dtype-specialized inner loops (see fastpath.go); the
+// result is identical to the At-based scan for every dtype.
 func FlattenMaskInto(dst []int, t *tensor.Tensor) []int {
 	if len(t.Shape) != 4 {
 		panic("postproc: FlattenMask expects NHWC scores")
@@ -166,11 +164,7 @@ func FlattenMaskInto(dst []int, t *tensor.Tensor) []int {
 	if c == 0 {
 		return mask
 	}
-	task := maskTaskPool.Get().(*maskTask)
-	*task = maskTask{t: t, c: c, mask: mask}
-	par.For(h*w, task)
-	*task = maskTask{}
-	maskTaskPool.Put(task)
+	flattenMask(mask, t, c)
 	return mask
 }
 
@@ -198,8 +192,6 @@ func DecodeKeypoints(heatmaps, offsets *tensor.Tensor, outputStride int) []Keypo
 
 // DecodeKeypointsInto is the allocation-free variant of DecodeKeypoints:
 // keypoints are written into dst's storage (grown only if too small).
-// Each keypoint's heatmap scan is an independent tile (grain 1 — a scan
-// covers the whole H×W map, so even 17 keypoints are worth spreading).
 func DecodeKeypointsInto(dst []Keypoint, heatmaps, offsets *tensor.Tensor, outputStride int) []Keypoint {
 	if len(heatmaps.Shape) != 4 || len(offsets.Shape) != 4 {
 		panic("postproc: DecodeKeypoints expects NHWC tensors")
@@ -210,11 +202,7 @@ func DecodeKeypointsInto(dst []Keypoint, heatmaps, offsets *tensor.Tensor, outpu
 		out = make([]Keypoint, k)
 	}
 	out = out[:k]
-	task := kpTaskPool.Get().(*kpTask)
-	*task = kpTask{heatmaps: heatmaps, offsets: offsets, h: h, w: w, k: k, stride: outputStride, out: out}
-	par.ForGrain(k, 1, task)
-	*task = kpTask{}
-	kpTaskPool.Put(task)
+	decodeKeypoints(out, heatmaps, offsets, h, w, outputStride)
 	return out
 }
 
@@ -300,40 +288,8 @@ func DecodeBoxesInto(dst []Box, locs, scores *tensor.Tensor, anchors []Anchor, t
 	if locs.Shape[1] != n || locs.Shape[2] != 4 || n > len(anchors) {
 		panic("postproc: box/score/anchor shape mismatch")
 	}
-	const scaleXY, scaleHW = 10.0, 5.0
-	out := dst[:0]
-	// Phase 1 — the O(N·C) score filter runs tiled over the anchors,
-	// writing each anchor's best class/score into pooled scratch.
-	sc := ssdScratchPool.Get().(*ssdScratch)
-	sc.bestC = growInt32(sc.bestC, n)
-	sc.bestS = growFloat64(sc.bestS, n)
-	task := boxScanTaskPool.Get().(*boxScanTask)
-	*task = boxScanTask{scores: scores, c: c, bestC: sc.bestC, bestS: sc.bestS}
-	par.For(n, task)
-	*task = boxScanTask{}
-	boxScanTaskPool.Put(task)
-	// Phase 2 — the cheap decode of the few surviving anchors stays
-	// sequential so detections append in anchor order, as before.
-	for i := 0; i < n; i++ {
-		bestC, bestS := int(sc.bestC[i]), sc.bestS[i]
-		if bestC == 0 || bestS < threshold {
-			continue
-		}
-		a := anchors[i]
-		ty, tx := locs.At(i*4), locs.At(i*4+1)
-		th, tw := locs.At(i*4+2), locs.At(i*4+3)
-		cy := ty/scaleXY*a.H + a.CY
-		cx := tx/scaleXY*a.W + a.CX
-		hh := math.Exp(th/scaleHW) * a.H
-		ww := math.Exp(tw/scaleHW) * a.W
-		out = append(out, Box{
-			YMin: cy - hh/2, XMin: cx - ww/2,
-			YMax: cy + hh/2, XMax: cx + ww/2,
-			Class: bestC, Score: bestS,
-		})
-	}
-	ssdScratchPool.Put(sc)
-	return out
+	d := boxDecoder{locs: locs, anchors: anchors, threshold: threshold}
+	return decodeBoxes(dst[:0], &d, scores, n, c)
 }
 
 // NMS performs class-aware greedy non-maximum suppression, keeping at

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"aitax/internal/imaging"
-	"aitax/internal/par"
 	"aitax/internal/tensor"
 )
 
@@ -89,34 +88,30 @@ func FuzzQuantizeSwarBitExact(f *testing.F) {
 }
 
 // TestConvertKernelsAllTailLanes sweeps widths 1..19 (every 4-pixel tail
-// lane) at several worker counts, pinning the unrolled normalize and
-// quantize kernels against their scalar definitions.
+// lane), pinning the unrolled normalize and quantize kernels against
+// their scalar definitions.
 func TestConvertKernelsAllTailLanes(t *testing.T) {
-	defer par.SetWorkers(par.SetWorkers(1))
 	q := tensor.QuantParams{Scale: 0.02, ZeroPoint: 3}
-	for _, workers := range []int{1, 2, 3, 8} {
-		par.SetWorkers(workers)
-		for w := 1; w <= 19; w++ {
-			src := fuzzScene(w, 6, nil)
-			norm := Normalize(src, 127.5, 127.5)
-			u8 := QuantizeInput(src, tensor.UInt8, q)
-			i8 := QuantizeInput(src, tensor.Int8, q)
-			idx := 0
-			for _, p := range src.Pix {
-				r, g, b := imaging.RGB(p)
-				for c, ch := range [3]uint8{r, g, b} {
-					if norm.F32[idx+c] != float32((float64(ch)-127.5)/127.5) {
-						t.Fatalf("normalize w=%d @%d workers differs", w, workers)
-					}
-					if u8.U8[idx+c] != byte(q.Quantize(float64(ch), tensor.UInt8)) {
-						t.Fatalf("quantize u8 w=%d @%d workers differs", w, workers)
-					}
-					if byte(i8.I8[idx+c]) != byte(q.Quantize(float64(ch), tensor.Int8)) {
-						t.Fatalf("quantize i8 w=%d @%d workers differs", w, workers)
-					}
+	for w := 1; w <= 19; w++ {
+		src := fuzzScene(w, 6, nil)
+		norm := Normalize(src, 127.5, 127.5)
+		u8 := QuantizeInput(src, tensor.UInt8, q)
+		i8 := QuantizeInput(src, tensor.Int8, q)
+		idx := 0
+		for _, p := range src.Pix {
+			r, g, b := imaging.RGB(p)
+			for c, ch := range [3]uint8{r, g, b} {
+				if norm.F32[idx+c] != float32((float64(ch)-127.5)/127.5) {
+					t.Fatalf("normalize w=%d differs", w)
 				}
-				idx += 3
+				if u8.U8[idx+c] != byte(q.Quantize(float64(ch), tensor.UInt8)) {
+					t.Fatalf("quantize u8 w=%d differs", w)
+				}
+				if byte(i8.I8[idx+c]) != byte(q.Quantize(float64(ch), tensor.Int8)) {
+					t.Fatalf("quantize i8 w=%d differs", w)
+				}
 			}
+			idx += 3
 		}
 	}
 }

@@ -6,14 +6,12 @@ package preproc
 // kernels. Everything here is bit-exact with the scalar definitions in
 // preproc.go — the coefficient tables are built with the very same
 // float64 expressions the scalar loops used, so replaying them yields
-// identical bytes (pinned by TestFusedKernelsMatchUnfused and the
-// cross-worker-count determinism test at the repo root).
+// identical bytes (pinned by TestFusedKernelsMatchUnfused).
 
 import (
 	"sync"
 
 	"aitax/internal/imaging"
-	"aitax/internal/par"
 	"aitax/internal/tensor"
 )
 
@@ -100,21 +98,15 @@ func lerpChan(a, b, c, d uint8, fx, ofx, fy, ofy float64) uint8 {
 	return uint8(top*ofy + bot*fy + 0.5)
 }
 
-type resizeTask struct {
-	plan     *resizePlan
-	src, dst *imaging.ARGBImage
-}
-
-var resizeTaskPool = sync.Pool{New: func() any { return new(resizeTask) }}
-
-func (t *resizeTask) Tile(lo, hi int) {
-	p, src := t.plan, t.src
-	dstW := t.dst.Width
-	for j := lo; j < hi; j++ {
+// resizeRows writes every row of the bilinear resize of src into dst
+// (already sized to the plan's output geometry).
+func resizeRows(p *resizePlan, src, dst *imaging.ARGBImage) {
+	dstW := dst.Width
+	for j := 0; j < dst.Height; j++ {
 		row0 := src.Pix[int(p.y0[j])*src.Width:][:src.Width]
 		row1 := src.Pix[int(p.y1[j])*src.Width:][:src.Width]
 		fy, ofy := p.fy[j], p.ofy[j]
-		out := t.dst.Pix[j*dstW:][:dstW]
+		out := dst.Pix[j*dstW:][:dstW]
 		for i := range out {
 			x0, x1 := p.x0[i], p.x1[i]
 			fx, ofx := p.fx[i], p.ofx[i]
@@ -206,20 +198,13 @@ func quantTabFor(dt tensor.DType, q tensor.QuantParams) *[256]byte {
 	return tab
 }
 
-type normalizeTask struct {
-	src *imaging.ARGBImage
-	tab *[256]float32
-	out []float32
-}
-
-var normalizeTaskPool = sync.Pool{New: func() any { return new(normalizeTask) }}
-
-func (t *normalizeTask) Tile(lo, hi int) {
-	w := t.src.Width
-	tab := t.tab
-	for j := lo; j < hi; j++ {
-		row := t.src.Pix[j*w:][:w]
-		out := t.out[j*w*3:][:w*3]
+// normalizeRows maps every channel byte of src through tab into the
+// NHWC float32 slice dst.
+func normalizeRows(dst []float32, src *imaging.ARGBImage, tab *[256]float32) {
+	w := src.Width
+	for j := 0; j < src.Height; j++ {
+		row := src.Pix[j*w:][:w]
+		out := dst[j*w*3:][:w*3]
 		// Four pixels per iteration into a capped 12-element window, so
 		// the twelve float32 stores share one bounds check. (The output
 		// is float32, so unlike the quantize kernel there is no packed
@@ -242,29 +227,20 @@ func (t *normalizeTask) Tile(lo, hi int) {
 	}
 }
 
-
-type quantizeTask struct {
-	src *imaging.ARGBImage
-	tab *[256]byte
-	u8  []uint8
-	i8  []int8
-}
-
-var quantizeTaskPool = sync.Pool{New: func() any { return new(quantizeTask) }}
-
-func (t *quantizeTask) Tile(lo, hi int) {
-	w := t.src.Width
-	tab := t.tab
-	for j := lo; j < hi; j++ {
-		row := t.src.Pix[j*w:][:w]
-		if t.u8 != nil {
+// quantizeRows maps every channel byte of src through tab into the
+// NHWC byte tensor t (uint8 or int8).
+func quantizeRows(t *tensor.Tensor, src *imaging.ARGBImage, tab *[256]byte) {
+	w := src.Width
+	for j := 0; j < src.Height; j++ {
+		row := src.Pix[j*w:][:w]
+		if t.DType == tensor.UInt8 {
 			// Four pixels per iteration, twelve independent byte stores
 			// per bounds check. Packing the 24 output bytes into three
 			// uint64 stores was measured and rejected: the narrow stores
 			// are absorbed by the store buffer, while building each
 			// packed word serializes on its shift/OR tree (see
 			// docs/PERF.md).
-			out := t.u8[j*w*3:][:w*3]
+			out := t.U8[j*w*3:][:w*3]
 			i, idx := 0, 0
 			for ; i+4 <= w; i, idx = i+4, idx+12 {
 				o := out[idx : idx+12 : idx+12]
@@ -281,7 +257,7 @@ func (t *quantizeTask) Tile(lo, hi int) {
 				out[idx+2] = tab[b]
 			}
 		} else {
-			out := t.i8[j*w*3:][:w*3]
+			out := t.I8[j*w*3:][:w*3]
 			i, idx := 0, 0
 			for ; i+4 <= w; i, idx = i+4, idx+12 {
 				o := out[idx : idx+12 : idx+12]
@@ -311,23 +287,15 @@ func (t *quantizeTask) Tile(lo, hi int) {
 // the lerp produces the same uint8 the two-step path would have stored,
 // the outputs are bit-identical.
 
-type fusedNormTask struct {
-	plan *resizePlan
-	src  *imaging.ARGBImage
-	tab  *[256]float32
-	out  []float32
-	dstW int
-}
-
-var fusedNormTaskPool = sync.Pool{New: func() any { return new(fusedNormTask) }}
-
-func (t *fusedNormTask) Tile(lo, hi int) {
-	p, src, tab, dstW := t.plan, t.src, t.tab, t.dstW
-	for j := lo; j < hi; j++ {
+// fusedNormRows resizes src by plan p and normalizes each interpolated
+// channel through tab into the NHWC float32 slice dst.
+func fusedNormRows(dst []float32, p *resizePlan, src *imaging.ARGBImage, tab *[256]float32) {
+	dstW := len(p.x0)
+	for j := range p.y0 {
 		row0 := src.Pix[int(p.y0[j])*src.Width:][:src.Width]
 		row1 := src.Pix[int(p.y1[j])*src.Width:][:src.Width]
 		fy, ofy := p.fy[j], p.ofy[j]
-		out := t.out[j*dstW*3:][:dstW*3]
+		out := dst[j*dstW*3:][:dstW*3]
 		idx := 0
 		for i := 0; i < dstW; i++ {
 			x0, x1 := p.x0[i], p.x1[i]
@@ -344,26 +312,17 @@ func (t *fusedNormTask) Tile(lo, hi int) {
 	}
 }
 
-type fusedQuantTask struct {
-	plan *resizePlan
-	src  *imaging.ARGBImage
-	tab  *[256]byte
-	u8   []uint8
-	i8   []int8
-	dstW int
-}
-
-var fusedQuantTaskPool = sync.Pool{New: func() any { return new(fusedQuantTask) }}
-
-func (t *fusedQuantTask) Tile(lo, hi int) {
-	p, src, tab, dstW := t.plan, t.src, t.tab, t.dstW
-	for j := lo; j < hi; j++ {
+// fusedQuantRows resizes src by plan p and quantizes each interpolated
+// channel through tab into the NHWC byte tensor t (uint8 or int8).
+func fusedQuantRows(t *tensor.Tensor, p *resizePlan, src *imaging.ARGBImage, tab *[256]byte) {
+	dstW := len(p.x0)
+	for j := range p.y0 {
 		row0 := src.Pix[int(p.y0[j])*src.Width:][:src.Width]
 		row1 := src.Pix[int(p.y1[j])*src.Width:][:src.Width]
 		fy, ofy := p.fy[j], p.ofy[j]
 		idx := 0
-		if t.u8 != nil {
-			out := t.u8[j*dstW*3:][:dstW*3]
+		if t.DType == tensor.UInt8 {
+			out := t.U8[j*dstW*3:][:dstW*3]
 			for i := 0; i < dstW; i++ {
 				x0, x1 := p.x0[i], p.x1[i]
 				fx, ofx := p.fx[i], p.ofx[i]
@@ -377,7 +336,7 @@ func (t *fusedQuantTask) Tile(lo, hi int) {
 				idx += 3
 			}
 		} else {
-			out := t.i8[j*dstW*3:][:dstW*3]
+			out := t.I8[j*dstW*3:][:dstW*3]
 			for i := 0; i < dstW; i++ {
 				x0, x1 := p.x0[i], p.x1[i]
 				fx, ofx := p.fx[i], p.ofx[i]
@@ -412,14 +371,7 @@ func ResizeNormalizeInto(dst *tensor.Tensor, src *imaging.ARGBImage, dstW, dstH 
 		panic("preproc: zero normalization std")
 	}
 	t := tensor.Ensure(dst, tensor.Float32, tensor.Shape{1, dstH, dstW, 3})
-	task := fusedNormTaskPool.Get().(*fusedNormTask)
-	*task = fusedNormTask{
-		plan: planFor(src.Width, src.Height, dstW, dstH),
-		src:  src, tab: normTabFor(mean, std), out: t.F32, dstW: dstW,
-	}
-	par.For(dstH, task)
-	*task = fusedNormTask{}
-	fusedNormTaskPool.Put(task)
+	fusedNormRows(t.F32, planFor(src.Width, src.Height, dstW, dstH), src, normTabFor(mean, std))
 	return t
 }
 
@@ -448,20 +400,6 @@ func ResizeQuantizeInto(dst *tensor.Tensor, src *imaging.ARGBImage, dstW, dstH i
 	}
 	t := tensor.Ensure(dst, dt, tensor.Shape{1, dstH, dstW, 3})
 	t.Quant = q
-	task := fusedQuantTaskPool.Get().(*fusedQuantTask)
-	*task = fusedQuantTask{
-		plan: planFor(src.Width, src.Height, dstW, dstH),
-		src:  src, tab: quantTabFor(dt, q), dstW: dstW,
-	}
-	// Select the output slice by dtype: a reused tensor can carry a stale
-	// slice of the other width from an earlier Ensure.
-	if dt == tensor.UInt8 {
-		task.u8 = t.U8
-	} else {
-		task.i8 = t.I8
-	}
-	par.For(dstH, task)
-	*task = fusedQuantTask{}
-	fusedQuantTaskPool.Put(task)
+	fusedQuantRows(t, planFor(src.Width, src.Height, dstW, dstH), src, quantTabFor(dt, q))
 	return t
 }

@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"aitax/internal/imaging"
-	"aitax/internal/par"
 	"aitax/internal/tensor"
 	"aitax/internal/work"
 )
@@ -28,19 +27,14 @@ func ResizeBilinear(src *imaging.ARGBImage, dstW, dstH int) *imaging.ARGBImage {
 // into dst (resized to dstW×dstH) and allocates nothing when dst's
 // backing array is already large enough. Sample positions and lerp
 // weights come from the per-geometry coefficient cache (kernels.go) and
-// the rows are tiled across the par worker pool; the arithmetic per
-// pixel is unchanged, so the output is bit-identical to the original
-// scalar loop at any worker count. Returns dst.
+// the arithmetic per pixel is unchanged, so the output is bit-identical
+// to the original scalar loop. Returns dst.
 func ResizeBilinearInto(dst *imaging.ARGBImage, src *imaging.ARGBImage, dstW, dstH int) *imaging.ARGBImage {
 	if dstW <= 0 || dstH <= 0 {
 		panic(fmt.Sprintf("preproc: invalid resize target %dx%d", dstW, dstH))
 	}
 	dst.Resize(dstW, dstH)
-	task := resizeTaskPool.Get().(*resizeTask)
-	*task = resizeTask{plan: planFor(src.Width, src.Height, dstW, dstH), src: src, dst: dst}
-	par.For(dstH, task)
-	*task = resizeTask{}
-	resizeTaskPool.Put(task)
+	resizeRows(planFor(src.Width, src.Height, dstW, dstH), src, dst)
 	return dst
 }
 
@@ -166,11 +160,7 @@ func NormalizeInto(dst *tensor.Tensor, src *imaging.ARGBImage, mean, std float64
 		panic("preproc: zero normalization std")
 	}
 	t := tensor.Ensure(dst, tensor.Float32, tensor.Shape{1, src.Height, src.Width, 3})
-	task := normalizeTaskPool.Get().(*normalizeTask)
-	*task = normalizeTask{src: src, tab: normTabFor(mean, std), out: t.F32}
-	par.For(src.Height, task)
-	*task = normalizeTask{}
-	normalizeTaskPool.Put(task)
+	normalizeRows(t.F32, src, normTabFor(mean, std))
 	return t
 }
 
@@ -196,16 +186,7 @@ func QuantizeInputInto(dst *tensor.Tensor, src *imaging.ARGBImage, dt tensor.DTy
 	if dt == tensor.UInt8 || dt == tensor.Int8 {
 		// Byte targets collapse to a cached 256-entry table built with
 		// the same Quantize call the scalar loop made per channel.
-		task := quantizeTaskPool.Get().(*quantizeTask)
-		*task = quantizeTask{src: src, tab: quantTabFor(dt, q)}
-		if dt == tensor.UInt8 {
-			task.u8 = t.U8
-		} else {
-			task.i8 = t.I8
-		}
-		par.For(src.Height, task)
-		*task = quantizeTask{}
-		quantizeTaskPool.Put(task)
+		quantizeRows(t, src, quantTabFor(dt, q))
 		return t
 	}
 	idx := 0

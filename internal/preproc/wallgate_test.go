@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"aitax/internal/imaging"
-	"aitax/internal/par"
 	"aitax/internal/tensor"
 )
 
@@ -75,7 +74,6 @@ func TestWallGateConvertKernels(t *testing.T) {
 	if os.Getenv("AITAX_WALL_GATE") == "" {
 		t.Skip("in-process wall check; run via `make bench-wall` (AITAX_WALL_GATE=1)")
 	}
-	defer par.SetWorkers(par.SetWorkers(1))
 	scene := imaging.SyntheticScene(224, 224, 7)
 	q := tensor.QuantParams{Scale: 0.0078125, ZeroPoint: 128}
 	var swarOut, refOut *tensor.Tensor
