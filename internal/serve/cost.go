@@ -55,8 +55,12 @@ func batchSeed(base uint64, model string, k int) uint64 {
 // loads the model and compiles the plan — shared process-wide through
 // plan.Shared), and runs a batch of k requests through the stage
 // subgraph [cfg.Entry, post]. Each measurement is an independent,
-// fully deterministic simulation.
+// fully deterministic simulation. A config without a platform returns
+// ErrNoPlatform.
 func MeasureBatch(ctx context.Context, cfg Config, m *models.Model, k int) (BatchCost, error) {
+	if cfg.Platform == nil {
+		return BatchCost{}, ErrNoPlatform
+	}
 	if k < 1 {
 		return BatchCost{}, fmt.Errorf("serve: batch size must be at least 1, got %d", k)
 	}

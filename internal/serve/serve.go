@@ -24,6 +24,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -129,10 +130,14 @@ func (c Config) Defaults() Config {
 	return c
 }
 
+// ErrNoPlatform reports a config whose Platform is nil; Defaults does
+// not fill it.
+var ErrNoPlatform = errors.New("serve: config needs a platform")
+
 // Validate reports the first problem with the config.
 func (c Config) Validate() error {
 	if c.Platform == nil {
-		return fmt.Errorf("serve: config needs a platform")
+		return ErrNoPlatform
 	}
 	if len(c.Models) == 0 {
 		return fmt.Errorf("serve: config needs at least one model")

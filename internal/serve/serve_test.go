@@ -247,3 +247,17 @@ func TestSimulateRejectsUncoveredCostTable(t *testing.T) {
 		t.Fatalf("nil table: err %v, want ErrCostTableGap", err)
 	}
 }
+
+// TestMeasureBatchRejectsMissingPlatform: Defaults does not fill
+// Platform, and MeasureBatch used to dereference it inside the app
+// stack; it must return ErrNoPlatform instead of panicking.
+func TestMeasureBatchRejectsMissingPlatform(t *testing.T) {
+	cfg := Config{}.Defaults()
+	_, err := MeasureBatch(context.Background(), cfg, cfg.Models[0], 1)
+	if !errors.Is(err, ErrNoPlatform) {
+		t.Fatalf("MeasureBatch with nil Platform: err = %v, want ErrNoPlatform", err)
+	}
+	if err := cfg.Validate(); !errors.Is(err, ErrNoPlatform) {
+		t.Fatalf("Validate with nil Platform: err = %v, want ErrNoPlatform", err)
+	}
+}
