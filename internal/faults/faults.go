@@ -18,6 +18,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -149,7 +150,7 @@ func (p Plan) Validate() error {
 		{"DelegateInitFailRate", p.DelegateInitFailRate},
 		{"StallRate", p.StallRate},
 	} {
-		if r.v < 0 || r.v > 1 {
+		if !(r.v >= 0 && r.v <= 1) { // NaN fails both bounds
 			return fmt.Errorf("faults: %s %v outside [0, 1]", r.name, r.v)
 		}
 	}
@@ -169,11 +170,24 @@ func (p Plan) Validate() error {
 	if p.MaxAttempts < 0 {
 		return fmt.Errorf("faults: negative MaxAttempts %d", p.MaxAttempts)
 	}
-	if p.BackoffFactor != 0 && p.BackoffFactor < 1 {
+	if p.BackoffFactor != 0 && !(p.BackoffFactor >= 1) {
 		return fmt.Errorf("faults: BackoffFactor %v below 1", p.BackoffFactor)
+	}
+	// The longest retry wait, Backoff·BackoffFactor^(MaxAttempts-2) after
+	// defaults, must fit well inside a Duration: BackoffFor would
+	// otherwise overflow to a negative wait and panic the engine.
+	if r := p.Resolved(0); r.MaxAttempts >= 2 {
+		longest := float64(r.Backoff) * math.Pow(r.BackoffFactor, float64(r.MaxAttempts-2))
+		if !(longest < maxBackoff) {
+			return fmt.Errorf("faults: retry backoff grows to %.3g ns, past %v", longest, time.Duration(maxBackoff))
+		}
 	}
 	return nil
 }
+
+// maxBackoff bounds the longest retry wait to half the Duration range
+// (2^62 ns, exact in float64), leaving the virtual clock room to add it.
+const maxBackoff = 1 << 62
 
 // seedMix decorrelates the derived fault stream from the run's main RNG
 // (which NewRNG seeds with the run seed directly).
@@ -475,7 +489,7 @@ func parseRate(v string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if f < 0 || f > 1 {
+	if !(f >= 0 && f <= 1) {
 		return 0, fmt.Errorf("rate %v outside [0, 1]", f)
 	}
 	return f, nil

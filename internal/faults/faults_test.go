@@ -2,6 +2,7 @@ package faults
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -70,6 +71,15 @@ func TestValidate(t *testing.T) {
 		{"negative attempts", Plan{MaxAttempts: -1}, false},
 		{"factor below one", Plan{BackoffFactor: 0.5}, false},
 		{"factor zero ok", Plan{BackoffFactor: 0}, true},
+		{"NaN rate", Plan{RPCErrorRate: math.NaN()}, false},
+		{"NaN factor", Plan{BackoffFactor: math.NaN()}, false},
+		{"infinite factor", Plan{BackoffFactor: math.Inf(1)}, false},
+		{"infinite factor unused at two attempts", Plan{BackoffFactor: math.Inf(1), MaxAttempts: 2}, true},
+		{"backoff overflows", Plan{BackoffFactor: 1e300}, false},
+		{"default factor overflows at 100 attempts", Plan{MaxAttempts: 100}, false},
+		{"default factor fits at 30 attempts", Plan{MaxAttempts: 30}, true},
+		{"half the Duration range fits", Plan{Backoff: 1<<62 - 1<<10, MaxAttempts: 2}, true},
+		{"single retry past half the Duration range", Plan{Backoff: 1 << 62, MaxAttempts: 2}, false},
 	}
 	for _, c := range cases {
 		err := c.p.Validate()

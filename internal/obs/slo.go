@@ -90,8 +90,13 @@ func ParseObjectives(spec string) ([]Objective, error) {
 			model = ""
 		}
 		// Round so "99.9" yields the same double as the 0.999 literal
-		// (pct/100 alone gives 0.9990000000000001).
+		// (pct/100 alone gives 0.9990000000000001). A percentage within
+		// 1e-10 of either bound rounds onto it, leaving no error budget
+		// (or no objective), so the rounded target is checked again.
 		target := math.Round(pct/100*1e12) / 1e12
+		if target <= 0 || target >= 1 {
+			return nil, fmt.Errorf("%w: %q: target %q rounds to %v, outside (0,100)", ErrBadObjective, part, pctStr, target*100)
+		}
 		out = append(out, Objective{Model: model, Latency: lat, Target: target})
 	}
 	if len(out) == 0 {

@@ -30,6 +30,8 @@ func TestParseObjectives(t *testing.T) {
 		// NaN compares false against both range bounds; without the
 		// explicit check it parses into a degenerate objective.
 		"m=1s@NaN", "m=1s@nan", "m=1s@-5", "m=-1s@99",
+		// In range, but rounding to 1e-12 lands on a bound.
+		"m=1s@99.99999999999999", "m=1s@1e-11",
 	} {
 		if _, err := ParseObjectives(bad); err == nil {
 			t.Errorf("spec %q: want error", bad)
