@@ -31,7 +31,7 @@ func randomScores(dt tensor.DType, shape tensor.Shape, q tensor.QuantParams, see
 }
 
 // atArgmaxMask is the original generic FlattenMask loop, kept as the
-// reference the specialized tile kernels must reproduce exactly.
+// reference the dtype-specialized kernels must reproduce exactly.
 func atArgmaxMask(t *tensor.Tensor) []int {
 	h, w, c := t.Shape[1], t.Shape[2], t.Shape[3]
 	mask := make([]int, h*w)
